@@ -121,6 +121,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     search_block = raw.pop("search", None)
     cfg = ExperimentConfig.from_json(raw)
     if args.master_seed is not None or cfg.master_seed == 0:
@@ -130,12 +132,7 @@ def _cmd_experiment(args) -> int:
     if args.jobs is not None:
         cfg = replace(cfg, jobs=args.jobs)
     if search_block is not None:
-        result = minimal_k_search(
-            cfg,
-            [int(k) for k in search_block["grid"]],
-            float(search_block["target"]),
-            z=float(search_block.get("z", 1.96)),
-        )
+        result = minimal_k_search(cfg, *harness.search_from_json(search_block))
         if args.csv:
             with open(args.csv, "w", encoding="ascii", newline="\n") as fh:
                 harness.write_curve_csv(result, fh)

@@ -20,11 +20,11 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
-from .centrality import dfs_cover_set, phi_log_all, psi_all, psi_set, phi_set
+from .centrality import dfs_cover_set, psi_set, phi_set
 from .growth import (
     GrowthRecord,
     anonymize,
@@ -47,15 +47,105 @@ class ConfigError(ValueError):
 
 CRITERIA = ("root-in-set", "intersect", "cover-seed", "cover-leaves")
 
-_METHOD_CRITERIA = {
-    "psi": {"root-in-set", "intersect", "cover-seed"},
-    "phi": {"root-in-set", "intersect", "cover-seed"},
-    "mle-root": {"root-in-set", "intersect"},
-    "dfs-cover": {"cover-seed", "intersect"},
-    "mle-seed": {"cover-seed", "intersect"},
-    "skeleton-leaves": {"cover-leaves", "intersect"},
-    "star": {"cover-seed", "intersect"},
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """How the harness runs one method; ``run`` gives the candidates best first.
+
+    Candidates at a smaller K are a prefix of those at a larger K.  The
+    ``seed_defaults`` come from the seed: ``k`` (its size), ``ell`` (its leaves)."""
+
+    run: Callable[[dict, Tree, tuple[int, ...] | None], tuple[int, ...]]
+    required: dict[str, type]
+    criteria: frozenset[str]
+    k_param: str | None = "K"
+    seed_defaults: tuple[str, ...] = ()
+    k_column: Callable[[dict], int] = lambda p: p["K"]
+
+
+def _skeleton_leaves(p: dict, t: Tree, skeleton_ids) -> tuple[int, ...]:
+    if not skeleton_ids:
+        raise ConfigError("skeleton-leaves needs skeleton vertex ids")
+    obs = SkeletonObservation.make(t, skeleton_ids)
+    return skeleton_leaf_set(obs, p["K"]).vertices()
+
+
+_ROOT_CRITERIA = frozenset({"root-in-set", "intersect", "cover-seed"})
+_SEED_CRITERIA = frozenset({"cover-seed", "intersect"})
+
+# the estimators are read as module globals at each call, so patching them works
+ESTIMATORS = {
+    "psi": EstimatorSpec(
+        lambda p, t, _: psi_set(t, p["K"]).vertices(), {"K": int}, _ROOT_CRITERIA
+    ),
+    "phi": EstimatorSpec(
+        lambda p, t, _: phi_set(t, p["K"]).vertices(), {"K": int}, _ROOT_CRITERIA
+    ),
+    "mle-root": EstimatorSpec(
+        lambda p, t, _: (mle_root(t)[0],), {},
+        frozenset({"root-in-set", "intersect"}), k_param=None, k_column=lambda p: 1,
+    ),
+    "dfs-cover": EstimatorSpec(
+        lambda p, t, _: dfs_cover_set(
+            t, psi_set(t, p["k_star"]), p["k"], p["ell"], p["eps"], p["K"]
+        ).vertices(),
+        {"k_star": int, "k": int, "ell": int, "eps": float, "K": int},
+        _SEED_CRITERIA, seed_defaults=("k", "ell"),
+    ),
+    "mle-seed": EstimatorSpec(
+        lambda p, t, _: mle_seed(t, p["k"], p["ell"], budget=p.get("budget"))[0].vertices,
+        {"k": int, "ell": int},
+        _SEED_CRITERIA, k_param=None, seed_defaults=("k", "ell"), k_column=lambda p: p["k"],
+    ),
+    "skeleton-leaves": EstimatorSpec(
+        _skeleton_leaves, {"K": int}, frozenset({"cover-leaves", "intersect"})
+    ),
+    "star": EstimatorSpec(
+        lambda p, t, _: star_recover(t, p["k"], p["m"], p["m_prime"]).vertices(),
+        {"k": int, "m": int, "m_prime": int},
+        _SEED_CRITERIA, k_param=None, seed_defaults=("k",),
+        k_column=lambda p: p["m"] * (p["m_prime"] + 1),
+    ),
 }
+
+
+def _spec(method: str) -> EstimatorSpec:
+    if method not in ESTIMATORS:
+        raise ConfigError(f"unknown method {method!r}; expected one of {sorted(ESTIMATORS)}")
+    return ESTIMATORS[method]
+
+
+def _as(convert: Callable, value, message: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{message}, got {value!r}") from None
+
+
+def _estimator_params(spec: EstimatorSpec, params: dict) -> dict:
+    """params with every required value present and converted to its type."""
+    out = dict(params)
+    for key, kind in spec.required.items():
+        if key not in params:
+            raise ConfigError(f"estimator params missing {key!r}")
+        out[key] = _as(kind, params[key], f"estimator param {key!r} must be {kind.__name__}")
+    return out
+
+
+def _seed_leaves(seed: Tree) -> list[int]:
+    return [v for v in range(seed.n) if seed.degree(v) == 1]
+
+
+def _run_params(method: str, params: dict, seed: Tree) -> dict:
+    """params over the method's seed defaults, checked and converted."""
+    spec = _spec(method)
+    derived = {"k": seed.n, "ell": len(_seed_leaves(seed))}
+    defaults = {key: derived[key] for key in spec.seed_defaults}
+    return _estimator_params(spec, {**defaults, **params})
+
+
+def _convert(d: dict, key: str, kind: type, default=None):
+    return _as(kind, d.get(key, default), f"config {key!r} must be {kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -86,20 +176,16 @@ class ExperimentConfig:
         raise ConfigError("config needs seed_file, seed_n, or seed_edges")
 
     def validate(self) -> None:
-        if self.method not in _METHOD_CRITERIA:
-            raise ConfigError(
-                f"unknown method {self.method!r}; expected one of "
-                f"{sorted(_METHOD_CRITERIA)}"
-            )
+        """Reject a config that cannot run, before any tree is grown."""
+        spec = _spec(self.method)
         if self.criterion not in CRITERIA:
             raise ConfigError(
                 f"unknown criterion {self.criterion!r}; expected one of {CRITERIA}"
             )
-        if self.criterion not in _METHOD_CRITERIA[self.method]:
+        if self.criterion not in spec.criteria:
             raise ConfigError(
                 f"method {self.method!r} does not support criterion "
-                f"{self.criterion!r} (allowed: "
-                f"{sorted(_METHOD_CRITERIA[self.method])})"
+                f"{self.criterion!r} (allowed: {sorted(spec.criteria)})"
             )
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
@@ -108,6 +194,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"target size {self.n} is smaller than the seed size {seed.n}"
             )
+        # a K sweep sets the K param itself, so the config may leave it out
+        sweep_k = {spec.k_param: 1} if spec.k_param else {}
+        _run_params(self.method, {**sweep_k, **self.params}, seed)
+        leaves = _seed_leaves(seed)
+        if self.criterion == "cover-leaves" and not leaves:
+            raise ConfigError("criterion cover-leaves needs a seed with leaves")
+        if self.method == "skeleton-leaves" and len(leaves) == seed.n:
+            raise ConfigError("skeleton-leaves needs a seed with internal vertices")
 
     def to_json(self) -> dict:
         return {
@@ -144,30 +238,38 @@ class ExperimentConfig:
                 raise ConfigError(f"config missing required key {key!r}")
         edges = d.get("seed_edges")
         if edges is not None:
-            edges = tuple((int(u), int(v)) for u, v in edges)
+            edges = _as(lambda e: tuple((int(u), int(v)) for u, v in e), edges,
+                        "config 'seed_edges' must be a list of integer pairs")
         return ExperimentConfig(
-            n=int(d["n"]),
-            alpha=float(d.get("alpha", 0.0)),
+            n=_convert(d, "n", int),
+            alpha=_convert(d, "alpha", float, 0.0),
             method=str(d["method"]),
             criterion=str(d["criterion"]),
-            trials=int(d["trials"]),
-            master_seed=int(d.get("master_seed", 0)),
-            params=dict(d.get("params", {})),
-            seed_n=(None if d.get("seed_n") is None else int(d["seed_n"])),
+            trials=_convert(d, "trials", int),
+            master_seed=_convert(d, "master_seed", int, 0),
+            params=_convert(d, "params", dict, {}),
+            seed_n=None if d.get("seed_n") is None else _convert(d, "seed_n", int),
             seed_edges=edges,
             seed_file=d.get("seed_file"),
-            jobs=int(d.get("jobs", 1)),
+            jobs=_convert(d, "jobs", int, 1),
             record_runtime=bool(d.get("record_runtime", False)),
         )
 
 
 @dataclass(frozen=True)
 class TrialOutcome:
+    """One scored trial; ``need`` is the candidate count that first meets the
+    criterion (None if none does), so the trial succeeds at K when need <= K."""
+
     trial_id: int
-    success: bool
+    need: int | None
     intersection_size: int
     runtime_ms: float
     rng_seed: int
+
+    @property
+    def success(self) -> bool:
+        return self.need is not None
 
 
 @dataclass(frozen=True)
@@ -190,83 +292,25 @@ class ExperimentResult:
         }
 
 
-def _param(params: dict, key: str, default=None):
-    if key in params:
-        return params[key]
-    if default is not None:
-        return default
-    raise ConfigError(f"estimator params missing {key!r}")
-
-
 def run_estimator(
     method: str,
     params: dict,
     presented: Tree,
     skeleton_ids: tuple[int, ...] | None = None,
-) -> frozenset[int]:
-    """Run one estimator on a presented tree; returns its candidate vertex set."""
-    if method == "psi":
-        return psi_set(presented, int(_param(params, "K"))).vertex_set()
-    if method == "phi":
-        return phi_set(presented, int(_param(params, "K"))).vertex_set()
-    if method == "mle-root":
-        v, _ = mle_root(presented)
-        return frozenset((v,))
-    if method == "dfs-cover":
-        anchors = psi_set(presented, int(_param(params, "k_star")))
-        cover = dfs_cover_set(
-            presented,
-            anchors,
-            int(_param(params, "k")),
-            int(_param(params, "ell")),
-            float(_param(params, "eps")),
-            int(_param(params, "K")),
-        )
-        return cover.vertex_set()
-    if method == "mle-seed":
-        placement, _ = mle_seed(
-            presented,
-            int(_param(params, "k")),
-            int(_param(params, "ell")),
-            budget=params.get("budget"),
-        )
-        return frozenset(placement.vertices)
-    if method == "skeleton-leaves":
-        if not skeleton_ids:
-            raise ConfigError("skeleton-leaves needs skeleton vertex ids")
-        obs = SkeletonObservation.make(presented, skeleton_ids)
-        return skeleton_leaf_set(obs, int(_param(params, "K"))).vertex_set()
-    if method == "star":
-        return star_recover(
-            presented,
-            int(_param(params, "k")),
-            int(_param(params, "m")),
-            int(_param(params, "m_prime")),
-        ).vertex_set()
-    raise ConfigError(f"unknown method {method!r}")
+) -> tuple[int, ...]:
+    """Run one estimator on a presented tree; returns its candidates best first."""
+    spec = _spec(method)
+    return tuple(spec.run(_estimator_params(spec, params), presented, skeleton_ids))
 
 
-def _estimator_k(cfg: ExperimentConfig, seed: Tree) -> int:
-    p = cfg.params
-    if cfg.method in ("psi", "phi", "dfs-cover", "skeleton-leaves"):
-        return int(_param(p, "K"))
-    if cfg.method == "mle-root":
-        return 1
-    if cfg.method == "mle-seed":
-        return int(p.get("k", seed.n))
-    if cfg.method == "star":
-        return int(_param(p, "m")) * (int(_param(p, "m_prime")) + 1)
-    raise ConfigError(f"unknown method {cfg.method!r}")
-
-
-def _fill_seed_defaults(cfg: ExperimentConfig, seed: Tree, ell: int) -> dict:
-    params = dict(cfg.params)
-    if cfg.method in ("dfs-cover", "mle-seed"):
-        params.setdefault("k", seed.n)
-        params.setdefault("ell", ell)
-    if cfg.method == "star":
-        params.setdefault("k", seed.n)
-    return params
+def _need(candidates: tuple[int, ...], targets: list[int], criterion: str) -> int | None:
+    """1-based position where the criterion is first met, or None: intersect
+    is met at the first target found, the other criteria at the last."""
+    position = {v: i for i, v in enumerate(candidates, start=1)}
+    found = [position[v] for v in targets if v in position]
+    if criterion == "intersect":
+        return min(found, default=None)
+    return max(found, default=0) if len(found) == len(targets) else None
 
 
 def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialOutcome:
@@ -276,42 +320,29 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialOutcome:
     t, record = generate(seed, cfg.n, alpha=cfg.alpha, rng_seed=trial_seed)
     presented = anonymize(t, record)
 
-    k = seed.n
-    seed_ids = frozenset(record.presented_ids(range(k)))
-    leaf_ids = frozenset(record.presented_ids(sorted(record.seed.leaf_ids)))
-    root_id = record.presented_ids([0])[0]
-    internal = sorted(set(range(k)) - set(record.seed.leaf_ids))
+    leaves = sorted(record.seed.leaf_ids)
+    seed_ids = record.presented_ids(range(seed.n))
+    internal = sorted(set(range(seed.n)) - set(leaves))
     skeleton_ids = tuple(sorted(record.presented_ids(internal)))
+    targets = {
+        "root-in-set": record.presented_ids([0]),
+        "intersect": seed_ids,
+        "cover-seed": seed_ids,
+        "cover-leaves": record.presented_ids(leaves),
+    }[cfg.criterion]
 
-    if cfg.criterion == "cover-leaves" and not leaf_ids:
-        raise ConfigError("criterion cover-leaves needs a seed with leaves")
-    if cfg.method == "skeleton-leaves" and not skeleton_ids:
-        raise ConfigError("skeleton-leaves needs a seed with internal vertices")
-
-    params = _fill_seed_defaults(cfg, seed, len(record.seed.leaf_ids))
+    params = _run_params(cfg.method, cfg.params, seed)
     t0 = time.perf_counter()
     candidates = run_estimator(cfg.method, params, presented, skeleton_ids)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-
-    inter = len(candidates & seed_ids)
-    if cfg.criterion == "root-in-set":
-        success = root_id in candidates
-    elif cfg.criterion == "intersect":
-        success = inter >= 1
-    elif cfg.criterion == "cover-seed":
-        success = seed_ids <= candidates
-    elif cfg.criterion == "cover-leaves":
-        success = leaf_ids <= candidates
-    else:
-        raise ConfigError(f"unknown criterion {cfg.criterion!r}")
 
     if trial_id % 100 == 0:
         _verify_replay(seed, record, presented)
 
     return TrialOutcome(
         trial_id=trial_id,
-        success=bool(success),
-        intersection_size=inter,
+        need=_need(candidates, targets, cfg.criterion),
+        intersection_size=len(set(candidates).intersection(seed_ids)),
         runtime_ms=runtime_ms,
         rng_seed=trial_seed,
     )
@@ -334,6 +365,7 @@ def _pool_trial(args: tuple[dict, int]) -> TrialOutcome:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cfg.validate()
     seed = cfg.seed_tree()
+    _run_params(cfg.method, cfg.params, seed)  # the K param too, before any tree is grown
     # inline the seed so worker processes never race on a file
     cfg_run = replace(
         cfg, seed_file=None, seed_n=seed.n,
@@ -370,8 +402,8 @@ def write_results_csv(result: ExperimentResult, out: IO[str]) -> None:
     """Fixed-schema per-trial CSV; byte-identical under any parallelism."""
     cfg = result.config
     seed = cfg.seed_tree()
-    ell = sum(1 for v in range(seed.n) if seed.degree(v) == 1) if seed.n > 1 else 0
-    k_col = _estimator_k(cfg, seed)
+    ell = len(_seed_leaves(seed))
+    k_col = _spec(cfg.method).k_column(_run_params(cfg.method, cfg.params, seed))
     out.write(CSV_HEADER + "\n")
     for o in result.outcomes:
         runtime = f"{o.runtime_ms:.3f}" if cfg.record_runtime else "0"
@@ -443,17 +475,27 @@ def write_curve_svg(search: SearchResult, out: IO[str]) -> None:
     )
 
 
-def _rank_under(scores, targets: list[int]) -> dict[int, int]:
-    """0-based rank of each target under (score, vertex id) ascending."""
-    out = {}
-    for tv in targets:
-        st = scores[tv]
-        rank = 0
-        for v, s in enumerate(scores):
-            if s < st or (s == st and v < tv):
-                rank += 1
-        out[tv] = rank
-    return out
+def _check_search(k_grid, target, z=1.96) -> tuple[list[int], float, float]:
+    """Validated K-sweep settings: (sorted distinct grid, target, z)."""
+    if not isinstance(k_grid, (list, tuple)) or not k_grid:
+        raise ConfigError(f"K grid must be a non-empty list, got {k_grid!r}")
+    grid = sorted(set(_as(int, k, "K grid values must be int") for k in k_grid))
+    if grid[0] < 1:
+        raise ConfigError(f"K grid values must be >= 1, got {grid[0]}")
+    target, z = _as(float, target, "target must be float"), _as(float, z, "z must be float")
+    if not (0.0 <= target <= 1.0 and 0.0 <= z < math.inf):
+        raise ConfigError(f"need target in [0, 1] and finite z >= 0, got {target}, {z}")
+    return grid, target, z
+
+
+def search_from_json(block) -> tuple[list[int], float, float]:
+    """Parse a config's "search" block: a grid, a target and an optional z."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"search must be a JSON object, got {block!r}")
+    unknown = set(block) - {"grid", "target", "z"}
+    if unknown:
+        raise ConfigError(f"unknown search keys: {sorted(unknown)}")
+    return _check_search(block.get("grid"), block.get("target"), block.get("z", 1.96))
 
 
 def minimal_k_search(
@@ -464,68 +506,28 @@ def minimal_k_search(
 ) -> SearchResult:
     """Smallest K on the grid whose Wilson lower bound reaches the target.
 
-    All K values share the per-trial seeds (common random numbers), so for
-    the nested psi / phi set estimators the curve is monotone in K by
-    construction.  With z = 0 the comparison degenerates to p_hat >= target.
+    Candidates at a smaller K are a prefix of those at a larger K, so the
+    trials run once, at the largest grid K, and succeed at K when their
+    ``need`` is at most K; the curve is monotone in K by construction.  With
+    z = 0 the comparison degenerates to p_hat >= target.
     """
-    if not k_grid:
-        raise ConfigError("K grid must be non-empty")
-    grid = sorted(set(int(k) for k in k_grid))
-    if grid[0] < 1:
-        raise ConfigError(f"K grid values must be >= 1, got {grid[0]}")
-    if not (0.0 <= target <= 1.0):
-        raise ConfigError(f"target must lie in [0, 1], got {target}")
-    cfg.validate()
-    seed = cfg.seed_tree()
-    cfg_run = replace(
-        cfg, seed_file=None, seed_n=seed.n, seed_edges=tuple(seed.edges())
-    )
-
-    if cfg.method in ("psi", "phi"):
-        counts = _nested_success_counts(cfg_run, seed, grid)
-    else:
-        counts = []
-        for k in grid:
-            cfg_k = replace(cfg_run, params={**cfg_run.params, "K": k})
-            res = run_experiment(cfg_k)
-            counts.append(res.successes)
+    grid, target, z = _check_search(k_grid, target, z)
+    spec = _spec(cfg.method)
+    if spec.k_param is None:
+        raise ConfigError(f"method {cfg.method!r} has no K parameter to sweep over")
+    res = run_experiment(replace(cfg, params={**cfg.params, spec.k_param: grid[-1]}))
 
     rows = []
     chosen = None
-    for k, successes in zip(grid, counts):
+    for k in grid:
+        successes = sum(1 for o in res.outcomes if o.success and o.need <= k)
         lo, hi = wilson_interval(successes, cfg.trials, z=z)
-        p = successes / cfg.trials
-        rows.append((k, p, lo, hi))
+        rows.append((k, successes / cfg.trials, lo, hi))
         if chosen is None and lo >= target:
             chosen = k
     return SearchResult(
         rows=tuple(rows), chosen_k=chosen, target=target, reached=chosen is not None
     )
-
-
-def _nested_success_counts(
-    cfg: ExperimentConfig, seed: Tree, grid: list[int]
-) -> list[int]:
-    """Per-K success counts for rank-nested estimators, one pass over trials."""
-    minimal = []
-    for trial_id in range(cfg.trials):
-        trial_seed = derive_seed(cfg.master_seed, trial_id)
-        t, record = generate(seed, cfg.n, alpha=cfg.alpha, rng_seed=trial_seed)
-        presented = anonymize(t, record)
-        scores = psi_all(presented) if cfg.method == "psi" else phi_log_all(presented)
-        seed_ids = record.presented_ids(range(seed.n))
-        root_id = record.presented_ids([0])[0]
-        if cfg.criterion == "root-in-set":
-            ranks = _rank_under(scores, [root_id])
-            need = ranks[root_id] + 1
-        elif cfg.criterion == "cover-seed":
-            ranks = _rank_under(scores, seed_ids)
-            need = max(ranks.values()) + 1
-        else:  # intersect
-            ranks = _rank_under(scores, seed_ids)
-            need = min(ranks.values()) + 1
-        minimal.append(need)
-    return [sum(1 for m in minimal if m <= k) for k in grid]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ placement S (a root u is the placement (u,)):
 
 For a root query the size conditioning is vacuous (the single hanging
 subtree is the whole tree), so the value is
-#\{sequences giving the queried rooted shape\} / (#sequences * #equivalent
+#{sequences giving the queried rooted shape} / (#sequences * #equivalent
 positions).
 """
 

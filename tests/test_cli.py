@@ -222,6 +222,67 @@ def test_experiment_bad_config_is_data_error(tmp_path, capsys):
     assert main(["experiment", "--config", str(wrong)]) == EXIT_DATA
 
 
+_GOOD_CONFIG = {
+    "n": 30,
+    "method": "psi",
+    "criterion": "root-in-set",
+    "trials": 2,
+    "params": {"K": 3},
+    "seed_n": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n", "abc"),
+        ("alpha", "steep"),
+        ("trials", [3]),
+        ("master_seed", "seed"),
+        ("jobs", "two"),
+        ("seed_n", "one"),
+        ("seed_edges", [[0, "a"]]),
+        ("params", "K=3"),
+        ("params", {"K": "three"}),
+        ("search", [1, 2]),
+        ("search", {"target": 0.5}),
+        ("search", {"grid": [], "target": 0.5}),
+        ("search", {"grid": ["x"], "target": 0.5}),
+        ("search", {"grid": [0, 4], "target": 0.5}),
+        ("search", {"grid": [4]}),
+        ("search", {"grid": [4], "target": 1.5}),
+        ("search", {"grid": [4], "target": "high"}),
+        ("search", {"grid": [4], "target": 0.5, "z": "wide"}),
+        ("search", {"grid": [4], "target": 0.5, "zz": 1}),
+    ],
+)
+def test_experiment_malformed_field_is_data_error(tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_GOOD_CONFIG, field: value}))
+    assert main(["experiment", "--config", str(cfg_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("seedtrace: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_experiment_sweep_of_method_without_k_is_data_error(tmp_path, capsys):
+    cfg = {
+        "n": 40,
+        "method": "star",
+        "criterion": "intersect",
+        "trials": 5,
+        "params": {"m": 2, "m_prime": 3},
+        "seed_n": 4,
+        "seed_edges": [[0, 1], [0, 2], [0, 3]],
+        "search": {"grid": [1, 2, 50], "target": 0.5},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(cfg_path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert "'star'" in captured.err and captured.out == ""
+
+
 def test_missing_tree_file_is_data_error(tmp_path, capsys):
     rc = main(["find-root", "--tree", str(tmp_path / "absent.tree")])
     assert rc == EXIT_DATA

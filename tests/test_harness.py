@@ -225,6 +225,86 @@ def test_minimal_k_search_generic_path_matches_fast():
     assert [p for _, p, _, _ in fast.rows] == slow_rows
 
 
+# (method, criterion, seed edges, fixed params): every criterion each
+# K-indexed method allows
+_SWEEPABLE = [
+    ("psi", "root-in-set", ((0, 1), (1, 2)), {}),
+    ("psi", "intersect", ((0, 1), (1, 2)), {}),
+    ("psi", "cover-seed", ((0, 1), (1, 2)), {}),
+    ("phi", "root-in-set", ((0, 1), (1, 2)), {}),
+    ("phi", "intersect", ((0, 1), (1, 2)), {}),
+    ("phi", "cover-seed", ((0, 1), (1, 2)), {}),
+    ("dfs-cover", "cover-seed", ((0, 1), (1, 2), (2, 3)), {"k_star": 6, "eps": 0.3}),
+    ("dfs-cover", "intersect", ((0, 1), (1, 2), (2, 3)), {"k_star": 6, "eps": 0.3}),
+    ("skeleton-leaves", "cover-leaves", ((0, 1), (1, 2), (0, 3), (3, 4)), {}),
+    ("skeleton-leaves", "intersect", ((0, 1), (1, 2), (0, 3), (3, 4)), {}),
+]
+
+
+@pytest.mark.parametrize("method,criterion,seed_edges,params", _SWEEPABLE)
+def test_minimal_k_search_matches_per_k_experiments(method, criterion, seed_edges, params):
+    """The single run at the largest K, counted per K, equals one full
+    experiment per K, and does not depend on the number of jobs."""
+    grid = [1, 2, 3, 5, 8, 40]
+    base = dict(
+        n=90,
+        method=method,
+        criterion=criterion,
+        trials=16,
+        master_seed=21,
+        seed_edges=seed_edges,
+    )
+    serial = minimal_k_search(ExperimentConfig(params=params, **base), grid, 0.5)
+    reference = [
+        run_experiment(ExperimentConfig(params={**params, "K": k}, **base)).successes
+        for k in grid
+    ]
+    assert [round(p * 16) for _, p, _, _ in serial.rows] == reference
+    parallel = minimal_k_search(ExperimentConfig(params=params, jobs=2, **base), grid, 0.5)
+    assert parallel == serial
+
+
+@pytest.mark.parametrize(
+    "method,params",
+    [
+        ("star", {"m": 2, "m_prime": 3}),
+        ("mle-root", {}),
+        ("mle-seed", {"k": 3, "ell": 2}),
+    ],
+)
+def test_minimal_k_search_rejects_methods_without_k(method, params):
+    cfg = _cfg(
+        method=method,
+        criterion="intersect",
+        params=params,
+        seed_n=None,
+        seed_edges=((0, 1), (1, 2)),
+    )
+    with pytest.raises(ConfigError, match=f"{method!r} has no K parameter"):
+        minimal_k_search(cfg, [1, 2, 50], 0.5)
+
+
+def test_validate_checks_estimator_params_before_growing(monkeypatch):
+    from seedtrace import harness
+
+    def no_growth(*args, **kwargs):
+        raise AssertionError("a tree was grown")
+
+    monkeypatch.setattr(harness, "generate", no_growth)
+    star = _cfg(method="star", criterion="intersect", params={"m": 2, "mprime": 3},
+                seed_n=None, seed_edges=((0, 1), (0, 2), (0, 3)))
+    with pytest.raises(ConfigError, match="missing 'm_prime'"):
+        star.validate()
+    _cfg(params={}).validate()  # a K sweep supplies K itself
+    with pytest.raises(ConfigError, match="missing 'K'"):
+        run_experiment(_cfg(params={}))
+    with pytest.raises(ConfigError, match="missing 'k_star'"):
+        run_experiment(_cfg(method="dfs-cover", criterion="intersect",
+                            params={"eps": 0.2, "K": 4}))
+    with pytest.raises(ConfigError, match="'K' must be int"):
+        run_experiment(_cfg(params={"K": "abc"}))
+
+
 def test_minimal_k_search_validation():
     with pytest.raises(ConfigError, match="non-empty"):
         minimal_k_search(_cfg(), [], 0.5)
