@@ -22,7 +22,6 @@ from .harness import (
 )
 from .likelihood import (
     PlacementBudgetError,
-    canonical_codes,
     enumerate_placements,
     log_likelihood_all,
     log_likelihood_rooted,

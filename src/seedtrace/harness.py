@@ -61,6 +61,7 @@ class EstimatorSpec:
     k_param: str | None = "K"
     seed_defaults: tuple[str, ...] = ()
     k_column: Callable[[dict], int] = lambda p: p["K"]
+    optional_counts: tuple[str, ...] = ()  # absent, null or an integer >= 1
 
 
 def _skeleton_leaves(p: dict, t: Tree, skeleton_ids) -> tuple[int, ...]:
@@ -96,6 +97,7 @@ ESTIMATORS = {
         lambda p, t, _: mle_seed(t, p["k"], p["ell"], budget=p.get("budget"))[0].vertices,
         {"k": int, "ell": int},
         _SEED_CRITERIA, k_param=None, seed_defaults=("k", "ell"), k_column=lambda p: p["k"],
+        optional_counts=("budget",),
     ),
     "skeleton-leaves": EstimatorSpec(
         _skeleton_leaves, {"K": int}, frozenset({"cover-leaves", "intersect"})
@@ -122,13 +124,33 @@ def _as(convert: Callable, value, message: str):
         raise ConfigError(f"{message}, got {value!r}") from None
 
 
+def _whole(value) -> int:
+    """int(value), refusing booleans and floats with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not a whole number: {value!r}")
+    return int(value)
+
+
+def _count(value) -> int:
+    count = _whole(value)
+    if count < 1:
+        raise ValueError(f"not a count: {value!r}")
+    return count
+
+
 def _estimator_params(spec: EstimatorSpec, params: dict) -> dict:
     """params with every required value present and converted to its type."""
     out = dict(params)
     for key, kind in spec.required.items():
         if key not in params:
             raise ConfigError(f"estimator params missing {key!r}")
-        out[key] = _as(kind, params[key], f"estimator param {key!r} must be {kind.__name__}")
+        convert = _whole if kind is int else kind
+        out[key] = _as(convert, params[key], f"estimator param {key!r} must be {kind.__name__}")
+    for key in spec.optional_counts:
+        if params.get(key) is not None:
+            out[key] = _as(
+                _count, params[key], f"estimator param {key!r} must be an integer >= 1 or null"
+            )
     return out
 
 
@@ -145,7 +167,8 @@ def _run_params(method: str, params: dict, seed: Tree) -> dict:
 
 
 def _convert(d: dict, key: str, kind: type, default=None):
-    return _as(kind, d.get(key, default), f"config {key!r} must be {kind.__name__}")
+    convert = _whole if kind is int else kind
+    return _as(convert, d.get(key, default), f"config {key!r} must be {kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -238,8 +261,11 @@ class ExperimentConfig:
                 raise ConfigError(f"config missing required key {key!r}")
         edges = d.get("seed_edges")
         if edges is not None:
-            edges = _as(lambda e: tuple((int(u), int(v)) for u, v in e), edges,
+            edges = _as(lambda e: tuple((_whole(u), _whole(v)) for u, v in e), edges,
                         "config 'seed_edges' must be a list of integer pairs")
+        seed_file = d.get("seed_file")
+        if seed_file is not None and not isinstance(seed_file, str):
+            raise ConfigError(f"config 'seed_file' must be a path string, got {seed_file!r}")
         return ExperimentConfig(
             n=_convert(d, "n", int),
             alpha=_convert(d, "alpha", float, 0.0),
@@ -250,7 +276,7 @@ class ExperimentConfig:
             params=_convert(d, "params", dict, {}),
             seed_n=None if d.get("seed_n") is None else _convert(d, "seed_n", int),
             seed_edges=edges,
-            seed_file=d.get("seed_file"),
+            seed_file=seed_file,
             jobs=_convert(d, "jobs", int, 1),
             record_runtime=bool(d.get("record_runtime", False)),
         )
@@ -479,7 +505,7 @@ def _check_search(k_grid, target, z=1.96) -> tuple[list[int], float, float]:
     """Validated K-sweep settings: (sorted distinct grid, target, z)."""
     if not isinstance(k_grid, (list, tuple)) or not k_grid:
         raise ConfigError(f"K grid must be a non-empty list, got {k_grid!r}")
-    grid = sorted(set(_as(int, k, "K grid values must be int") for k in k_grid))
+    grid = sorted(set(_as(_whole, k, "K grid values must be int") for k in k_grid))
     if grid[0] < 1:
         raise ConfigError(f"K grid values must be >= 1, got {grid[0]}")
     target, z = _as(float, target, "target must be float"), _as(float, z, "z must be float")

@@ -23,65 +23,47 @@ Everything here is iterative and runs in O(n log n) per tree: subtree shapes
 are interned integer codes computed for both directions of every edge by a
 down pass and an up pass, and the per-root terms follow by rerooting across
 each edge.
+
+The same passes serve every seed placement.  The subtree hanging at seed
+vertex s is s plus the directed subtrees D(s -> y) toward its neighbours y
+outside the seed.  With M the multiset of their codes, its rooted
+log-likelihood is
+
+    -log R_s - log a(M) - sum over m in M of W[m]
+
+where W[m] is the sum of log(size * a) over the vertices of a subtree with
+code m, and R_s is the orbit size of s in the hanging subtree.  W is a
+per-code table, R_s comes from a walk from s to the centre of the hanging
+subtree, and each term is memoized per (s, seed neighbours of s), so scoring
+one more placement of a tree costs O(k) lookups once its terms are known.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left, insort
 
-from .tree import SeedPlacement, Tree, TreeError, _tree_unchecked, bfs_order
+from .tree import SeedPlacement, Tree, TreeError, bfs_order
 
 
 class PlacementBudgetError(RuntimeError):
     """Raised when placement enumeration exceeds the caller's budget."""
 
 
-def canonical_codes(t: Tree, root: int) -> list[int]:
-    """Interned canonical code of the subtree at each vertex, rooted at root.
-
-    Two vertices get equal codes exactly when their rooted subtrees are
-    isomorphic.  Code 0 is the single leaf.  Codes are only comparable within
-    one call.
-    """
-    order, parent = bfs_order(t, root)
-    intern: dict[tuple[int, ...], int] = {(): 0}
-    children: list[list[int]] = [[] for _ in range(t.n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    codes = [0] * t.n
-    for v in reversed(order):
-        ch = children[v]
-        if ch:
-            key = tuple(sorted(codes[c] for c in ch))
-            code = intern.get(key)
-            if code is None:
-                code = len(intern)
-                intern[key] = code
-            codes[v] = code
-    return codes
-
-
-def rooted_code_key(t: Tree, root: int) -> tuple:
-    """Hashable canonical key of (t, root); equal keys mean isomorphic."""
-    order, parent = bfs_order(t, root)
-    children: list[list[int]] = [[] for _ in range(t.n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    keys: list[tuple] = [()] * t.n
-    for v in reversed(order):
-        ch = children[v]
-        if ch:
-            keys[v] = tuple(sorted(keys[c] for c in ch))
-    return keys[root]
-
-
 class _AllRoots:
-    """Directed subtree codes plus per-root symmetry and size terms."""
+    """Directed subtree codes plus per-root symmetry and size terms.
+
+    The code of the directed subtree D(v -> x) (the part of the tree reached
+    from v through x, rooted at x) is down[x] when x is a child of v in the
+    base rooting at 0, else up[v].  Equal codes mean isomorphic rooted
+    subtrees, and a code is created after the codes of its children.
+    """
 
     __slots__ = (
-        "n", "order", "parent", "sizes", "down", "up", "aut_bar",
-        "laut_root", "cnt", "log_phi",
+        "n", "adj", "order", "parent", "sizes", "down", "up", "aut_bar",
+        "laut_root", "cnt", "log_phi", "intern", "lfact",
+        "code_size", "code_height", "code_w", "terms",
     )
 
     def __init__(self, t: Tree):
@@ -91,6 +73,7 @@ class _AllRoots:
         self.order = order
         self.parent = parent
         adj = t.adjacency
+        self.adj = adj
 
         children: list[list[int]] = [[] for _ in range(n)]
         for v in order[1:]:
@@ -137,13 +120,14 @@ class _AllRoots:
                 up[c] = get(tuple(rest))
         self.up = up
 
-        # directed code from v toward neighbor x:
-        #   down[x] when x is a child of v, else up[v] (x is v's parent)
+        self.intern = intern
+
         log = math.log
         max_deg = max(len(a) for a in adj)
         lfact = [0.0] * (max_deg + 1)
         for m in range(2, max_deg + 1):
             lfact[m] = lfact[m - 1] + log(m)
+        self.lfact = lfact
 
         cnt: list[dict[int, int]] = [dict() for _ in range(n)]
         laut_root = [0.0] * n
@@ -175,6 +159,11 @@ class _AllRoots:
             s = sizes[v]
             log_phi[v] = log_phi[parent[v]] + log(n - s) - log(s)
         self.log_phi = log_phi
+        # per-code tables for seed placements, filled by add_code_tables
+        self.code_size: list[int] = []
+        self.code_height: list[int] = []
+        self.code_w: list[float] = []
+        self.terms: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def log_likelihoods(self) -> list[float]:
         n = self.n
@@ -196,6 +185,108 @@ class _AllRoots:
         phi = self.log_phi
         aut_bar = self.aut_bar
         return [-log(aut_bar[v]) - phi[v] - a[v] for v in range(n)]
+
+    def placement(self, vertices: tuple[int, ...]) -> float:
+        """Seeded log-likelihood: the hanging terms of the seed vertices,
+        added in sorted order so that automorphic placements tie exactly."""
+        adj = self.adj
+        members = set(vertices)
+        terms = sorted(
+            self.hanging_term(s, tuple(y for y in adj[s] if y in members))
+            for s in vertices
+        )
+        return sum(terms)
+
+    def hanging_term(self, s: int, cut: tuple[int, ...]) -> float:
+        """Rooted log-likelihood of the subtree hanging at s once the edges
+        from s to its neighbours in cut are removed."""
+        key = (s, cut)
+        term = self.terms.get(key)
+        if term is None:
+            ys = [y for y in self.adj[s] if y not in cut]
+            _, _, laut, wsum = self._describe(tuple(sorted(self._edge(s, y) for y in ys)))
+            term = -math.log(self._orbit(s, ys)) - laut - wsum if ys else 0.0
+            self.terms[key] = term
+        return term
+
+    def add_code_tables(self) -> None:
+        """Size, height and W of every code so far, which placements need."""
+        for key in self.intern:
+            self._add_code_row(key)
+
+    def _edge(self, v: int, x: int) -> int:
+        """Code of the directed subtree D(v -> x)."""
+        return self.down[x] if self.parent[x] == v else self.up[v]
+
+    def _describe(self, key: tuple[int, ...]) -> tuple[int, int, float, float]:
+        """Size, height, log a and the W sum (in code order) of the rooted
+        subtree whose root has children with these sorted codes."""
+        size_of, height_of, w_of, lfact = (
+            self.code_size, self.code_height, self.code_w, self.lfact
+        )
+        size, height, laut, wsum = 1, 0, 0.0, 0.0
+        prev, run = -1, 0
+        for c in key:
+            size += size_of[c]
+            if height_of[c] >= height:
+                height = height_of[c] + 1
+            wsum += w_of[c]
+            if c == prev:
+                run += 1
+            else:
+                laut += lfact[run]
+                prev, run = c, 1
+        return size, height, laut + lfact[run], wsum
+
+    def _add_code_row(self, key: tuple[int, ...]) -> None:
+        """Append the size, height and W of the next code, whose children
+        already have rows, so isomorphic subtrees share one float."""
+        size, height, laut, wsum = self._describe(key)
+        self.code_size.append(size)
+        self.code_height.append(height)
+        self.code_w.append(math.log(size) + laut + wsum)
+
+    def _code(self, key: tuple[int, ...]) -> int:
+        """Intern a subtree that is cut off from the host tree."""
+        code = self.intern.get(key)
+        if code is None:
+            code = len(self.intern)
+            self.intern[key] = code
+            self._add_code_row(key)
+        return code
+
+    def _orbit(self, s: int, ys: list[int]) -> int:
+        """Orbit size R_s of s under the automorphisms of the subtree made of s
+        and the directed subtrees D(s -> y), y in ys.
+
+        The walk goes from s toward the deepest branch until the two deepest
+        branches differ in height by at most one: there it stands on the
+        centre, or on the near end of the bicentre edge.  Automorphisms fix
+        the centre, so the orbit is the product over the steps of the number
+        of branches isomorphic to the part walked so far, doubled when the
+        two halves of a bicentre are isomorphic.
+        """
+        edge, height, adj = self._edge, self.code_height, self.adj
+        here = s
+        branches = [(edge(s, y), y) for y in ys]
+        orbit = 1
+        while True:
+            d1 = d2 = 0
+            for code, y in branches:
+                h = height[code] + 1
+                if h > d1:
+                    d1, d2, deep, far = h, d1, code, y
+                elif h > d2:
+                    d2 = h
+            if d1 - d2 < 2:
+                break
+            back = self._code(tuple(sorted(c for c, y in branches if y != far)))
+            branches = [(back, here)] + [(edge(far, z), z) for z in adj[far] if z != here]
+            orbit *= sum(1 for c, _ in branches if c == back)
+            here = far
+        if d1 > d2 and self._code(tuple(sorted(c for c, y in branches if y != far))) == deep:
+            orbit *= 2
+        return orbit
 
 
 def log_likelihood_all(t: Tree) -> list[float]:
@@ -224,73 +315,52 @@ def mle_root(t: Tree) -> tuple[int, float]:
     return best_v, best_s
 
 
-def _hanging_decomposition(
-    t: Tree, placement: SeedPlacement
-) -> list[tuple[int, Tree]]:
-    """Per seed vertex, the subtree hanging at it (seed vertex relabeled 0)."""
-    members = set(placement.vertices)
-    parent = [-2] * t.n
-    comp = [-1] * t.n
-    queue = list(placement.vertices)
-    for v in queue:
-        parent[v] = -1
-        comp[v] = v
-    groups: dict[int, list[int]] = {v: [v] for v in placement.vertices}
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for w in t.adjacency[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                comp[w] = comp[u]
-                groups[comp[u]].append(w)
-                queue.append(w)
-    out = []
-    for root, verts in groups.items():
-        local = {v: i for i, v in enumerate(verts)}
-        adj: list[list[int]] = [[] for _ in range(len(verts))]
-        for v in verts:
-            if v == root:
-                continue
-            a, b = local[v], local[parent[v]]
-            adj[a].append(b)
-            adj[b].append(a)
-        out.append((root, _tree_unchecked(len(verts), adj)))
-    return out
+_LAST = threading.local()
+
+
+def _all_roots(t: Tree) -> _AllRoots:
+    """The all-roots state of t, kept for the last tree seen in this thread."""
+    slot = getattr(_LAST, "slot", None)
+    if slot is None or slot[0] is not t:
+        roots = _AllRoots(t)
+        roots.add_code_tables()
+        slot = _LAST.slot = (t, roots)
+    return slot[1]
 
 
 def log_likelihood_seed(t: Tree, placement: SeedPlacement | tuple[int, ...]) -> float:
     """Joint log-likelihood of a seed placement.
 
     Sum over the placement's vertices of the rooted log-likelihood of the
-    subtree hanging at each one.
+    subtree hanging at each one.  The passes over t are shared by every call
+    with the same tree object, so scoring all placements of a tree costs one
+    all-roots pass plus O(k) per placement once its hanging terms are known.
     """
     if not isinstance(placement, SeedPlacement):
         placement = SeedPlacement.from_vertices(t, placement)
-    total = 0.0
-    for root, sub in _hanging_decomposition(t, placement):
-        if sub.n > 1:
-            total += log_likelihood_all(sub)[0]
-    return total
+    return _all_roots(t).placement(placement.vertices)
 
 
-def _connected_ksubsets(t: Tree, k: int, budget: int | None = None) -> list[tuple[int, ...]]:
-    """All connected k-vertex subsets, each exactly once (ESU enumeration)."""
-    adj = t.adjacency
-    out: list[tuple[int, ...]] = []
+def _subset_groups(t: Tree, k: int, budget: int | None = None):
+    """Connected k-vertex subsets in groups (sub, ext): the subsets sub + (w,)
+    for w in ext.  Each connected k-subset comes exactly once (ESU
+    enumeration); PlacementBudgetError is raised once more than budget have
+    come."""
+    made = 0
 
-    def note(sub: tuple[int, ...]) -> None:
-        out.append(sub)
-        if budget is not None and len(out) > budget:
+    def counted(ext: list[int]) -> list[int]:
+        nonlocal made
+        made += len(ext)
+        if budget is not None and made > budget:
             raise PlacementBudgetError(
                 f"placement enumeration exceeded the budget of {budget}"
             )
+        return ext
 
     if k == 1:
-        for v in range(t.n):
-            note((v,))
-        return out
+        yield (), counted(list(range(t.n)))
+        return
+    adj = t.adjacency
     for v0 in range(t.n):
         ext0 = [u for u in adj[v0] if u > v0]
         if not ext0:
@@ -300,15 +370,18 @@ def _connected_ksubsets(t: Tree, k: int, budget: int | None = None) -> list[tupl
         while stack:
             sub, ext, blocked = stack.pop()
             if len(sub) + 1 == k:
-                for w in ext:
-                    note(tuple(sorted(sub + (w,))))
+                yield sub, counted(ext)
                 continue
             for i, w in enumerate(ext):
                 fresh = [u for u in adj[w] if u > v0 and u not in blocked]
                 new_ext = ext[i + 1 :] + fresh
                 new_blocked = blocked | set(fresh)
                 stack.append((sub + (w,), new_ext, new_blocked))
-    return out
+
+
+def _connected_ksubsets(t: Tree, k: int, budget: int | None = None) -> list[tuple[int, ...]]:
+    """All connected k-vertex subsets, each exactly once, as sorted tuples."""
+    return [tuple(sorted(sub + (w,))) for sub, ext in _subset_groups(t, k, budget) for w in ext]
 
 
 def enumerate_placements(
@@ -323,14 +396,23 @@ def enumerate_placements(
     _validate_k_ell(k, ell)
     if k > t.n:
         return []
+    if k == 1:
+        return [SeedPlacement(vertices=sub) for sub in _connected_ksubsets(t, 1, budget)]
+    nbrs = [frozenset(a) for a in t.adjacency]
     placements = []
-    for sub in _connected_ksubsets(t, k, budget=budget):
-        members = set(sub)
-        leaves = frozenset(
-            v for v in sub if sum(1 for w in t.adjacency[v] if w in members) == 1
-        )
-        if len(leaves) == ell:
-            placements.append(SeedPlacement(vertices=sub, leaf_ids=leaves))
+    for sub, ext in _subset_groups(t, k, budget):
+        members = frozenset(sub)
+        deg = {v: len(nbrs[v] & members) for v in sub}
+        ends = sum(1 for d in deg.values() if d == 1)
+        for w in ext:
+            # w joins as a new leaf at its one neighbour x in sub
+            (x,) = nbrs[w] & members
+            if ends + 1 + (deg[x] == 0) - (deg[x] == 1) == ell:
+                leaves = [v for v in sub if deg[v] + (v == x) == 1]
+                leaves.append(w)
+                placements.append(SeedPlacement(
+                    vertices=tuple(sorted(sub + (w,))), leaf_ids=frozenset(leaves)
+                ))
     placements.sort(key=lambda p: p.vertices)
     return placements
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 from collections import Counter
 import math
 
-from seedtrace import generate, path_tree
-from seedtrace.tree import Tree
+from seedtrace import generate, log_likelihood_all, path_tree
+from seedtrace.tree import SeedPlacement, Tree, bfs_order
 
 
 def ua_tree(n: int, rng_seed: int, alpha: float = 0.0) -> Tree:
@@ -63,3 +63,61 @@ def rational_rooted_likelihood(t: Tree, u: int) -> Fraction:
         value /= size(v, par) * local_aut
         stack.extend((w, v) for w in kids)
     return value
+
+
+def rooted_code_key(t: Tree, root: int) -> tuple:
+    """Hashable canonical key of (t, root); equal keys mean isomorphic."""
+    order, parent = bfs_order(t, root)
+    children: list[list[int]] = [[] for _ in range(t.n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    keys: list[tuple] = [()] * t.n
+    for v in reversed(order):
+        ch = children[v]
+        if ch:
+            keys[v] = tuple(sorted(keys[c] for c in ch))
+    return keys[root]
+
+
+def hanging_decomposition(t: Tree, placement: SeedPlacement) -> list[tuple[int, Tree]]:
+    """Per seed vertex, the subtree hanging at it (seed vertex relabeled 0)."""
+    parent = [-2] * t.n
+    comp = [-1] * t.n
+    queue = list(placement.vertices)
+    for v in queue:
+        parent[v] = -1
+        comp[v] = v
+    groups: dict[int, list[int]] = {v: [v] for v in placement.vertices}
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for w in t.adjacency[u]:
+            if parent[w] == -2:
+                parent[w] = u
+                comp[w] = comp[u]
+                groups[comp[u]].append(w)
+                queue.append(w)
+    out = []
+    for root, verts in groups.items():
+        local = {v: i for i, v in enumerate(verts)}
+        adj: list[list[int]] = [[] for _ in range(len(verts))]
+        for v in verts:
+            if v == root:
+                continue
+            a, b = local[v], local[parent[v]]
+            adj[a].append(b)
+            adj[b].append(a)
+        out.append((root, Tree(n=len(verts), adjacency=tuple(tuple(sorted(a)) for a in adj))))
+    return out
+
+
+def reference_log_likelihood_seed(t: Tree, vertices) -> float:
+    """Seeded log-likelihood the slow way: cut out every hanging subtree and
+    run the all-roots likelihood on it, once per placement."""
+    placement = SeedPlacement.from_vertices(t, vertices)
+    total = 0.0
+    for _, sub in hanging_decomposition(t, placement):
+        if sub.n > 1:
+            total += log_likelihood_all(sub)[0]
+    return total

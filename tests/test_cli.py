@@ -1,9 +1,12 @@
+import contextlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from seedtrace import harness
 from seedtrace.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, main
 from seedtrace.tree import parse_tree, write_tree
 from seedtrace import path_tree, spider_tree, star_tree
@@ -254,15 +257,72 @@ _GOOD_CONFIG = {
         ("search", {"grid": [4], "target": "high"}),
         ("search", {"grid": [4], "target": 0.5, "z": "wide"}),
         ("search", {"grid": [4], "target": 0.5, "zz": 1}),
+        ("n", 10.9),
+        ("n", True),
+        ("trials", True),
+        ("trials", 2.5),
+        ("master_seed", 1.5),
+        ("master_seed", False),
+        ("seed_n", 1.5),
+        ("seed_n", True),
+        ("jobs", 1.5),
+        ("jobs", True),
+        ("seed_file", 0),
+        ("seed_file", ["seed.tree"]),
     ],
 )
 def test_experiment_malformed_field_is_data_error(tmp_path, capsys, field, value):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**_GOOD_CONFIG, field: value}))
-    assert main(["experiment", "--config", str(cfg_path)]) == EXIT_DATA
+    with _empty_stdin():  # a seed_file of 0 would otherwise read the terminal
+        assert main(["experiment", "--config", str(cfg_path)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("seedtrace: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert field in ("params", "search") or f"'{field}'" in err
+
+
+@contextlib.contextmanager
+def _empty_stdin():
+    """File descriptor 0 reads from the null device until the block ends."""
+    saved = os.dup(0)
+    try:
+        with open(os.devnull, "rb") as null:
+            os.dup2(null.fileno(), 0)
+        yield
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+
+
+@pytest.mark.parametrize("budget", ["x", 0, -3, 2.5, True, [10]])
+def test_experiment_bad_mle_seed_budget_is_data_error(tmp_path, capsys, monkeypatch, budget):
+    grown = []
+    monkeypatch.setattr(harness, "generate", lambda *a, **k: grown.append(1))
+    cfg = {
+        "n": 30,
+        "method": "mle-seed",
+        "criterion": "intersect",
+        "trials": 2,
+        "params": {"budget": budget},
+        "seed_n": 3,
+        "seed_edges": [[0, 1], [1, 2]],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(cfg_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "'budget'" in err and err.count("\n") == 1 and "Traceback" not in err
+    assert grown == []
+
+
+def test_experiment_mle_seed_budget_accepts_count_or_null():
+    for budget in (None, 1, 10**6, 7.0):
+        cfg = harness.ExperimentConfig(
+            n=12, method="mle-seed", criterion="intersect", trials=1,
+            params={"budget": budget}, seed_n=3, seed_edges=((0, 1), (1, 2)),
+        )
+        cfg.validate()
 
 
 def test_experiment_sweep_of_method_without_k_is_data_error(tmp_path, capsys):

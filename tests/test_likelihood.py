@@ -20,13 +20,14 @@ from seedtrace import (
     mle_root,
     mle_seed,
     path_tree,
+    spider_tree,
     star_tree,
 )
 from seedtrace.likelihood import (
     PlacementBudgetError,
+    _all_roots,
     _connected_ksubsets,
     enumerate_placements,
-    rooted_code_key,
 )
 from seedtrace.oracle import (
     brute_force_shape_probability,
@@ -34,7 +35,12 @@ from seedtrace.oracle import (
     unrooted_shape_probability,
 )
 
-from helpers import rational_rooted_likelihood, ua_tree
+from helpers import (
+    rational_rooted_likelihood,
+    reference_log_likelihood_seed,
+    rooted_code_key,
+    ua_tree,
+)
 
 
 def _close(a, b, tol=1e-12):
@@ -286,3 +292,134 @@ def test_likelihood_handles_asymmetric_tree():
         assert _close(
             vals[u], float(brute_force_shape_probability(t, root=u)), 1e-12
         )
+
+
+def _balanced_tree(depth: int, arity: int = 2):
+    edges, frontier, nxt = [], [0], 1
+    for _ in range(depth):
+        grown = []
+        for v in frontier:
+            for _ in range(arity):
+                edges.append((v, nxt))
+                grown.append(nxt)
+                nxt += 1
+        frontier = grown
+    return build_tree(nxt, edges)
+
+
+def _spread(items, count):
+    """At most count items, evenly spaced through the list."""
+    step = max(1, len(items) // count)
+    return items[::step]
+
+
+SEED_SHAPES = [(2, 2), (3, 2), (4, 2), (4, 3), (5, 4)]
+
+
+def test_seed_matches_reference_on_random_trees():
+    """The one-pass scores against cutting out and rescoring every hanging
+    subtree per placement."""
+    for n, rng_seed in [(12, 0), (40, 1), (120, 2), (300, 3)]:
+        for alpha in (0.0, 1.0):
+            t = ua_tree(n, rng_seed=rng_seed, alpha=alpha)
+            for k, ell in SEED_SHAPES:
+                for p in _spread(enumerate_placements(t, k, ell), 25):
+                    want = reference_log_likelihood_seed(t, p.vertices)
+                    assert abs(log_likelihood_seed(t, p) - want) <= 1e-10, (n, alpha, p)
+
+
+def test_seed_matches_reference_on_symmetric_trees():
+    """Paths, spiders and balanced trees put s deep inside symmetric hanging
+    subtrees (orbit products above 1) and on both kinds of centre."""
+    trees = [path_tree(n) for n in (2, 5, 8, 11)] + [
+        spider_tree([3, 3, 3]),
+        spider_tree([2, 2, 1, 1]),
+        spider_tree([4, 4]),
+        _balanced_tree(3),
+        _balanced_tree(4),
+        _balanced_tree(2, arity=3),
+    ]
+    for t in trees:
+        for k in range(1, 5):
+            for sub in _connected_ksubsets(t, k):
+                want = reference_log_likelihood_seed(t, sub)
+                assert abs(log_likelihood_seed(t, sub) - want) <= 1e-10, (t.n, sub)
+
+
+def test_hanging_orbit_sizes():
+    """R_s for whole trees (no cut): the number of vertices like s."""
+    cases = [
+        (path_tree(2), 0, 2),  # bicentre with isomorphic halves
+        (path_tree(4), 1, 2),
+        (path_tree(5), 0, 2),  # unique centre, two isomorphic legs
+        (path_tree(5), 2, 1),
+        (spider_tree([2, 2, 2]), 6, 3),
+        (spider_tree([2, 2, 1]), 1, 2),
+        (_balanced_tree(3), 14, 8),
+        (_balanced_tree(3), 3, 4),
+        (_balanced_tree(2, arity=3), 5, 9),
+    ]
+    for t, s, orbit in cases:
+        assert _all_roots(t)._orbit(s, list(t.adjacency[s])) == orbit, (t.n, s)
+        # the same count by brute force over rooted codes
+        assert orbit == sum(
+            rooted_code_key(t, w) == rooted_code_key(t, s) for w in range(t.n)
+        )
+
+
+def test_mle_seed_scales_to_thousands_of_vertices():
+    """One all-roots pass serves every placement: about 4000 placements on
+    a 2000-vertex tree take well under a second, not a minute."""
+    import time
+
+    t = ua_tree(2000, rng_seed=0)
+    start = time.monotonic()
+    best, best_ll = mle_seed(t, 3, 2)
+    assert time.monotonic() - start < 10.0
+    assert abs(best_ll - reference_log_likelihood_seed(t, best.vertices)) <= 1e-10
+
+
+def _mirrored(t, rng_seed):
+    """Two copies of t joined root to root, the second copy's ids shuffled;
+    returns the tree and the automorphism that swaps the copies."""
+    import random
+
+    n = t.n
+    shuffle = list(range(n, 2 * n))
+    random.Random(rng_seed).shuffle(shuffle)
+    edges = list(t.edges()) + [(shuffle[u], shuffle[v]) for u, v in t.edges()]
+    edges.append((0, shuffle[0]))
+    swap = [0] * (2 * n)
+    for v in range(n):
+        swap[v], swap[shuffle[v]] = shuffle[v], v
+    return build_tree(2 * n, edges), swap
+
+
+def test_automorphic_placements_tie_exactly():
+    for rng_seed in range(3):
+        t, swap = _mirrored(ua_tree(30, rng_seed=rng_seed), rng_seed)
+        placements = enumerate_placements(t, 4, 3)
+        scores = {p.vertices: log_likelihood_seed(t, p) for p in placements}
+        for vertices, score in scores.items():
+            image = tuple(sorted(swap[v] for v in vertices))
+            assert scores[image] == score, (vertices, image)
+        best, best_ll = mle_seed(t, 4, 3)
+        top = [v for v, score in scores.items() if score == best_ll]
+        assert best_ll == max(scores.values())
+        assert best.vertices == min(top)
+        assert len(top) >= 2  # the mirror image of the winner ties with it
+
+
+def test_seed_cache_follows_the_tree():
+    """Calls that alternate between two trees score each one as if alone."""
+    t1, t2 = ua_tree(60, rng_seed=7), ua_tree(60, rng_seed=8)
+    p1, p2 = enumerate_placements(t1, 3, 2), enumerate_placements(t2, 3, 2)
+    alone1 = [log_likelihood_seed(t1, p) for p in p1]
+    alone2 = [log_likelihood_seed(t2, p) for p in p2]
+    for i in range(min(len(p1), len(p2))):
+        assert log_likelihood_seed(t1, p1[i]) == alone1[i]
+        assert log_likelihood_seed(t2, p2[i]) == alone2[i]
+    # an equal but distinct tree object gets its own pass and the same scores
+    twin = build_tree(t1.n, t1.edges())
+    assert twin is not t1
+    assert [log_likelihood_seed(twin, p) for p in p1] == alone1

@@ -28,7 +28,7 @@ def test_enumerated_shapes_are_distinct_trees():
         shapes = enumerate_shapes(n)
         assert all(t.n == n for t in shapes)
         # pairwise non-isomorphic: distinct minimum rooted codes
-        from seedtrace.likelihood import rooted_code_key
+        from helpers import rooted_code_key
 
         keys = {min(rooted_code_key(t, v) for v in range(n)) for t in shapes}
         assert len(keys) == len(shapes)
