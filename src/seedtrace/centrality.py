@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .tree import ConfidenceSet, Tree, TreeError, bfs_order, subtree_sizes, top_k
+from .tree import ConfidenceSet, Tree, TreeError, bfs_order, rooted_sizes, top_k
 
 
 def psi_all(t: Tree) -> list[int]:
@@ -98,6 +98,15 @@ def dfs_cover_set(
     tree).  Vertices are deduplicated across anchors and collection stops
     once k_cap members are held; each member's score is the hanging size that
     admitted it.
+
+    The tree is rooted once, at vertex 0.  A walk enters v from a neighbour
+    u, so v's hanging size facing away from the anchor is sizes[v] when
+    parent[v] == u and n - sizes[u] otherwise; it depends on the edge, not
+    on the anchor.  A vertex's heavy neighbours (hanging size at least the
+    threshold) are listed once per call, in sorted adjacency order, the
+    first time a walk reaches it, and every walk follows only those.  Cost:
+    O(n) for the rooting, plus the admitted vertices and heavy edges of each
+    anchor's walk, plus one adjacency scan per vertex the walks reach.
     """
     if not (0.0 < eps < 1.0):
         raise TreeError(f"eps must lie in (0, 1), got {eps}")
@@ -110,31 +119,33 @@ def dfs_cover_set(
         return ConfidenceSet(members=(), target_size=k_cap)
     n = t.n
     threshold = n * eps / (2.0 * k * ell)
+    parent, sizes = rooted_sizes(t, 0)
+    heavy: dict[int, list[tuple[int, int]]] = {}
     chosen: dict[int, float] = {}
     for anchor in intersect_set.vertices():
-        if len(chosen) >= k_cap:
-            break
-        sizes = subtree_sizes(t, anchor)
+        if not (0 <= anchor < n):
+            raise TreeError(f"root {anchor} outside 0..{n - 1}")
         if anchor not in chosen:
             chosen[anchor] = float(n)
-            if len(chosen) >= k_cap:
-                break
-        stack = [anchor]
-        visited = {anchor}
-        full = False
-        while stack and not full:
-            u = stack.pop()
-            for v in t.adjacency[u]:
-                if v in visited:
-                    continue
-                visited.add(v)
-                if sizes[v] < threshold:
+        stack = [(anchor, -1)]
+        while stack and len(chosen) < k_cap:
+            u, came_from = stack.pop()
+            pairs = heavy.get(u)
+            if pairs is None:
+                up = n - sizes[u]
+                pairs = heavy[u] = [
+                    (v, s)
+                    for v in t.adjacency[u]
+                    if (s := sizes[v] if parent[v] == u else up) >= threshold
+                ]
+            for v, s in pairs:
+                if v == came_from:
                     continue
                 if v not in chosen:
-                    chosen[v] = float(sizes[v])
+                    chosen[v] = float(s)
                     if len(chosen) >= k_cap:
-                        full = True
                         break
-                stack.append(v)
-    members = tuple((v, s) for v, s in chosen.items())
-    return ConfidenceSet(members=members, target_size=k_cap)
+                stack.append((v, u))
+        if len(chosen) >= k_cap:
+            break
+    return ConfidenceSet(members=tuple(chosen.items()), target_size=k_cap)

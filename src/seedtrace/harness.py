@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import IO, Callable
 
@@ -266,6 +267,11 @@ class ExperimentConfig:
         seed_file = d.get("seed_file")
         if seed_file is not None and not isinstance(seed_file, str):
             raise ConfigError(f"config 'seed_file' must be a path string, got {seed_file!r}")
+        record_runtime = d.get("record_runtime", False)
+        if not isinstance(record_runtime, bool):
+            raise ConfigError(
+                f"config 'record_runtime' must be true or false, got {record_runtime!r}"
+            )
         return ExperimentConfig(
             n=_convert(d, "n", int),
             alpha=_convert(d, "alpha", float, 0.0),
@@ -278,7 +284,7 @@ class ExperimentConfig:
             seed_edges=edges,
             seed_file=seed_file,
             jobs=_convert(d, "jobs", int, 1),
-            record_runtime=bool(d.get("record_runtime", False)),
+            record_runtime=record_runtime,
         )
 
 
@@ -388,6 +394,29 @@ def _pool_trial(args: tuple[dict, int]) -> TrialOutcome:
     return run_trial(ExperimentConfig.from_json(cfg_json), trial_id)
 
 
+# (jobs, pool) of the last parallel run.  Its workers are forked once and
+# serve every later call with the same job count: starting and joining a pool
+# per call cost a 20-trial sweep round about a fifth of its wall time, a share
+# that rose and fell with the machine's load.  Each trial carries its whole
+# config, so no result depends on an earlier call; the workers do run the
+# module as it stood when they were forked.
+_POOL: tuple[int, ProcessPoolExecutor] | None = None
+
+
+def _run_pooled(jobs: int, items: list[tuple[dict, int]], chunk: int) -> list[TrialOutcome]:
+    global _POOL
+    if _POOL is not None and _POOL[0] != jobs:
+        _POOL[1].shutdown()
+        _POOL = None
+    if _POOL is None:
+        _POOL = (jobs, ProcessPoolExecutor(max_workers=jobs))
+    try:
+        return list(_POOL[1].map(_pool_trial, items, chunksize=chunk))
+    except BrokenProcessPool:
+        _POOL = None  # a worker died; the next call starts a fresh pool
+        raise
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cfg.validate()
     seed = cfg.seed_tree()
@@ -402,8 +431,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         items = [(cfg_run.to_json(), i) for i in range(cfg.trials)]
         chunk = max(1, cfg.trials // (cfg.jobs * 4))
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
-            outcomes = list(ex.map(_pool_trial, items, chunksize=chunk))
+        outcomes = _run_pooled(cfg.jobs, items, chunk)
     outcomes.sort(key=lambda o: o.trial_id)
     successes = sum(1 for o in outcomes if o.success)
     p_hat = successes / cfg.trials

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import nsmallest
 
 from .centrality import psi_set
-from .tree import ConfidenceSet, Tree, TreeError, hanging_sizes, top_k
+from .tree import ConfidenceSet, Tree, TreeError, hanging_sizes, rooted_sizes, top_k
 
 
 @dataclass(frozen=True)
@@ -79,14 +80,19 @@ def star_recover(t: Tree, k: int, m: int, m_prime: int) -> ConfidenceSet:
     if m < 1 or m_prime < 1:
         raise TreeError(f"candidate counts must be >= 1, got m={m} m'={m_prime}")
     centers = psi_set(t, m)
+    # one rooting gives each neighbour's hanging size away from any center
+    parent, sizes = rooted_sizes(t, 0)
     chosen: dict[int, float] = {}
     for center in centers.vertices():
         if center not in chosen:
             chosen[center] = 0.0
-        leaf_candidates = skeleton_leaf_set(
-            SkeletonObservation(tree=t, skeleton_ids=(center,)), m_prime
+        up = t.n - sizes[center]
+        # size descending, ties by vertex id ascending
+        ranked = nsmallest(
+            m_prime,
+            ((-(sizes[w] if parent[w] == center else up), w) for w in t.adjacency[center]),
         )
-        for rank, (v, _) in enumerate(leaf_candidates.members, start=1):
+        for rank, (_, v) in enumerate(ranked, start=1):
             if v not in chosen:
                 chosen[v] = float(rank)
     return ConfidenceSet(

@@ -53,14 +53,17 @@ def build_tree(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     """Validate an edge list and return the Tree it spans.
 
     Raises TreeError with a distinct message for each failure mode:
-    out-of-range ids, self-loops, duplicate edges, wrong edge count,
-    and disconnectedness.
+    wrong edge count (checked first), out-of-range ids, self-loops,
+    duplicate edges, and disconnectedness.
     """
     if not isinstance(n, int) or n < 1:
         raise TreeError(f"vertex count must be a positive integer, got {n!r}")
+    # count before allocating, so a header claiming a huge n costs nothing
+    edges = list(edges)
+    if len(edges) != n - 1:
+        raise TreeError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
     adj: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
-    count = 0
     for u, v in edges:
         u, v = int(u), int(v)
         if not (0 <= u < n and 0 <= v < n):
@@ -73,9 +76,6 @@ def build_tree(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
         seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
-        count += 1
-    if count != n - 1:
-        raise TreeError(f"a tree on {n} vertices needs {n - 1} edges, got {count}")
     if n > 1:
         # n-1 edges and connectivity together rule out cycles.
         reached = _bfs_reach(adj, 0)
@@ -135,11 +135,21 @@ def subtree_sizes(t: Tree, root: int) -> list[int]:
     sizes[root] == n; for any other v, sizes[v] counts v plus all vertices
     whose path to root passes through v.
     """
+    return rooted_sizes(t, root)[1]
+
+
+def rooted_sizes(t: Tree, root: int) -> tuple[list[int], list[int]]:
+    """Parent and subtree size of every vertex from one rooting at root.
+
+    One rooting answers every direction: across an edge (u, w), the part
+    hanging at w away from u holds sizes[w] vertices when parent[w] == u,
+    and n - sizes[u] otherwise.
+    """
     order, parent = bfs_order(t, root)
     sizes = [1] * t.n
     for u in reversed(order[1:]):
         sizes[parent[u]] += sizes[u]
-    return sizes
+    return parent, sizes
 
 
 def parse_tree(text: str, source: str = "<string>") -> Tree:

@@ -4,7 +4,8 @@ from fractions import Fraction
 from collections import Counter
 import math
 
-from seedtrace import generate, log_likelihood_all, path_tree
+from seedtrace import generate, log_likelihood_all, path_tree, psi_set
+from seedtrace.skeleton import SkeletonObservation, skeleton_leaf_set
 from seedtrace.tree import SeedPlacement, Tree, bfs_order
 
 
@@ -121,3 +122,61 @@ def reference_log_likelihood_seed(t: Tree, vertices) -> float:
         if sub.n > 1:
             total += log_likelihood_all(sub)[0]
     return total
+
+
+def reference_dfs_cover_set(t: Tree, anchors, k: int, ell: int, eps: float, k_cap: int):
+    """DFS cover members the slow way: root the tree again at every anchor.
+
+    Returns the (vertex, score) pairs in admission order.
+    """
+    n = t.n
+    threshold = n * eps / (2.0 * k * ell)
+    chosen: dict[int, float] = {}
+    for anchor in anchors:
+        if len(chosen) >= k_cap:
+            break
+        # subtree sizes with the tree rooted at this anchor
+        parent = [-1] * n
+        parent[anchor] = anchor
+        order = [anchor]
+        for u in order:
+            for v in t.adjacency[u]:
+                if parent[v] == -1:
+                    parent[v] = u
+                    order.append(v)
+        sizes = [1] * n
+        for u in reversed(order[1:]):
+            sizes[parent[u]] += sizes[u]
+        if anchor not in chosen:
+            chosen[anchor] = float(n)
+            if len(chosen) >= k_cap:
+                break
+        stack = [anchor]
+        visited = {anchor}
+        full = False
+        while stack and not full:
+            u = stack.pop()
+            for v in t.adjacency[u]:
+                if v in visited:
+                    continue
+                visited.add(v)
+                if sizes[v] < threshold:
+                    continue
+                if v not in chosen:
+                    chosen[v] = float(sizes[v])
+                    if len(chosen) >= k_cap:
+                        full = True
+                        break
+                stack.append(v)
+    return tuple(chosen.items())
+
+
+def reference_star_recover(t: Tree, m: int, m_prime: int):
+    """star_recover members built from one skeleton_leaf_set call per center."""
+    chosen: dict[int, float] = {}
+    for center in psi_set(t, m).vertices():
+        chosen.setdefault(center, 0.0)
+        leaves = skeleton_leaf_set(SkeletonObservation(tree=t, skeleton_ids=(center,)), m_prime)
+        for rank, v in enumerate(leaves.vertices(), start=1):
+            chosen.setdefault(v, float(rank))
+    return tuple(chosen.items())

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import pytest
@@ -17,7 +18,7 @@ from seedtrace import (
 )
 from seedtrace.tree import ConfidenceSet, subtree_sizes
 
-from helpers import brute_psi, ua_tree
+from helpers import brute_psi, reference_dfs_cover_set, ua_tree
 
 
 def test_psi_frozen_values():
@@ -162,6 +163,39 @@ def test_dfs_cover_set_empty_anchors_warns():
         out = dfs_cover_set(t, empty, k=2, ell=2, eps=0.5, k_cap=4)
     assert out.vertex_set() == frozenset()
     assert any("empty" in str(w.message) for w in caught)
+
+
+def _cover_case(rng, t, anchors):
+    k, ell = rng.randint(1, 6), rng.randint(1, 4)
+    eps = rng.choice([rng.uniform(0.001, 0.999), 10 ** rng.uniform(-3, -0.01)])
+    k_cap = rng.randint(1, t.n + 3)
+    anchor_set = ConfidenceSet(members=tuple((v, 0.0) for v in anchors), target_size=len(anchors))
+    got = dfs_cover_set(t, anchor_set, k=k, ell=ell, eps=eps, k_cap=k_cap).members
+    want = reference_dfs_cover_set(t, anchors, k, ell, eps, k_cap)
+    assert got == want, (t.n, anchors, k, ell, eps, k_cap)
+
+
+def test_dfs_cover_set_matches_per_anchor_reference():
+    """One rooting gives the same (vertex, score) pairs in the same order as
+    rooting the tree again at every anchor, truncation included."""
+    rng = random.Random(20261018)
+    for case in range(300):
+        n = rng.randint(2, 500)
+        t = ua_tree(n, rng_seed=case, alpha=float(case % 2))
+        if case % 3:
+            anchors = psi_set(t, rng.randint(1, min(n, 60))).vertices()
+        else:
+            # arbitrary order, with repeats of vertices already admitted
+            anchors = [rng.randrange(n) for _ in range(rng.randint(1, 12))]
+            anchors += rng.sample(anchors, rng.randint(0, len(anchors)))
+            rng.shuffle(anchors)
+        _cover_case(rng, t, tuple(anchors))
+    for t in (path_tree(2), path_tree(97), star_tree(2), star_tree(60),
+              spider_tree([1]), spider_tree([3, 3, 2, 1]), spider_tree([8, 5, 5, 1, 1])):
+        for _ in range(25):
+            anchors = tuple(rng.randrange(t.n) for _ in range(rng.randint(1, 5)))
+            _cover_case(rng, t, anchors)
+            _cover_case(rng, t, psi_set(t, rng.randint(1, t.n)).vertices())
 
 
 def test_seed_max_psi_attained_at_a_seed_leaf():

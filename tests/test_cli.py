@@ -269,6 +269,10 @@ _GOOD_CONFIG = {
         ("jobs", True),
         ("seed_file", 0),
         ("seed_file", ["seed.tree"]),
+        ("record_runtime", "no"),
+        ("record_runtime", 1),
+        ("record_runtime", None),
+        ("record_runtime", [True]),
     ],
 )
 def test_experiment_malformed_field_is_data_error(tmp_path, capsys, field, value):
@@ -346,6 +350,15 @@ def test_experiment_sweep_of_method_without_k_is_data_error(tmp_path, capsys):
 def test_missing_tree_file_is_data_error(tmp_path, capsys):
     rc = main(["find-root", "--tree", str(tmp_path / "absent.tree")])
     assert rc == EXIT_DATA
+
+
+def test_tree_file_with_too_few_edges_is_data_error(tmp_path, capsys):
+    path = tmp_path / "short.tree"
+    path.write_text("200000\n0 1\n1 2\n")
+    assert main(["find-root", "--tree", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "needs 199999 edges, got 2" in err
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_code():

@@ -176,6 +176,50 @@ def test_parallel_equals_serial():
     assert a.getvalue() == b.getvalue()
 
 
+def test_parallel_workers_outlive_one_call():
+    """Parallel runs with one job count share their workers; a new job count
+    replaces them, and a killed worker costs one call, not the next."""
+    import os
+    import signal
+    import time
+    from concurrent.futures.process import BrokenProcessPool
+
+    from seedtrace import harness
+
+    def csv(res):
+        buf = io.StringIO()
+        write_results_csv(res, buf)
+        return buf.getvalue()
+
+    def workers():
+        return list(harness._POOL[1]._processes.values())
+
+    serial = csv(run_experiment(_cfg(trials=12)))
+    assert csv(run_experiment(_cfg(trials=12, jobs=2))) == serial
+    first = workers()
+    assert len(first) == 2
+    assert csv(run_experiment(_cfg(trials=12, jobs=2, master_seed=5))) == csv(
+        run_experiment(_cfg(trials=12, master_seed=5))
+    )
+    assert workers() == first
+
+    assert csv(run_experiment(_cfg(trials=12, jobs=3))) == serial
+    assert len(workers()) == 3
+    assert not any(p.is_alive() for p in first)
+
+    victim = workers()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=10)
+    assert not victim.is_alive()
+    deadline = time.monotonic() + 10
+    while not harness._POOL[1]._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(_cfg(trials=12, jobs=3))
+    assert csv(run_experiment(_cfg(trials=12, jobs=3))) == serial
+    assert victim not in workers()
+
+
 def test_minimal_k_search_fast_path_nested():
     cfg = _cfg(n=120, trials=60)
     res = minimal_k_search(cfg, [1, 2, 5, 10, 30, 120], target=0.8)

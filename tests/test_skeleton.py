@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from seedtrace import (
@@ -21,6 +23,8 @@ from seedtrace.skeleton import (
     star_recover,
 )
 from seedtrace.tree import hanging_sizes
+
+from helpers import reference_star_recover, ua_tree
 
 
 def test_skeleton_observation_validation():
@@ -95,6 +99,18 @@ def test_star_recover_validation():
         star_recover(t, k=1, m=1, m_prime=1)
     with pytest.raises(TreeError):
         star_recover(t, k=5, m=0, m_prime=1)
+
+
+def test_star_recover_matches_per_center_reference():
+    """One rooting ranks each center's neighbours exactly as a skeleton leaf
+    set per center does: size descending, then vertex id ascending."""
+    rng = random.Random(77)
+    trees = [ua_tree(rng.randint(2, 400), rng_seed=i, alpha=float(i % 2)) for i in range(120)]
+    trees += [star_tree(2), star_tree(30), path_tree(9), spider_tree([2, 2, 1, 1, 3])]
+    for t in trees:
+        m, m_prime = rng.randint(1, 12), rng.randint(1, t.n + 2)
+        got = star_recover(t, k=max(2, t.n), m=m, m_prime=m_prime).members
+        assert got == reference_star_recover(t, m, m_prime), (t.n, m, m_prime)
 
 
 def test_star_recover_failure_decomposition():

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 
@@ -96,6 +97,19 @@ def test_parse_error_reporting():
         parse_tree("2\n0 1 2\n")
     with pytest.raises(TreeError, match="needs 2 edges"):
         parse_tree("3\n0 1\n")
+
+
+def test_parse_counts_edges_before_allocating():
+    # a header claiming a huge n must not allocate n adjacency lists
+    text = "200000\n0 1\n1 2\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(TreeError, match="needs 199999 edges, got 2"):
+            parse_tree(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_read_write_files(tmp_path):
