@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 import warnings
 
-from .tree import ConfidenceSet, Tree, TreeError, bfs_order, rooted_sizes, top_k
+import numpy as np
+
+from .tree import ConfidenceSet, Tree, TreeError, bfs_order, rooted_sizes
 
 
 def psi_all(t: Tree) -> list[int]:
@@ -61,6 +63,16 @@ def phi_log_all(t: Tree) -> list[float]:
     return out
 
 
+def _smallest(scores: list, k: int) -> ConfidenceSet:
+    """The k smallest scores, ties broken by vertex id.
+
+    A stable sort keeps equal scores in id order, so it ranks as
+    ``np.lexsort((ids, scores))`` does; members are plain Python numbers.
+    """
+    best = np.argsort(np.array(scores), kind="stable")[:k].tolist()
+    return ConfidenceSet(members=tuple((v, scores[v]) for v in best), target_size=k)
+
+
 def psi_set(t: Tree, k: int) -> ConfidenceSet:
     """The k vertices of smallest psi, ties broken by vertex id."""
     if k < 1:
@@ -68,7 +80,7 @@ def psi_set(t: Tree, k: int) -> ConfidenceSet:
     scores = psi_all(t)
     if not scores:
         return ConfidenceSet(members=(), target_size=k)
-    return top_k(scores, k, direction="min")
+    return _smallest(scores, k)
 
 
 def phi_set(t: Tree, k: int) -> ConfidenceSet:
@@ -78,7 +90,7 @@ def phi_set(t: Tree, k: int) -> ConfidenceSet:
     if t.n == 1:
         warnings.warn("phi is undefined on a single-vertex tree", RuntimeWarning)
         return ConfidenceSet(members=(), target_size=k)
-    return top_k(phi_log_all(t), k, direction="min")
+    return _smallest(phi_log_all(t), k)
 
 
 def dfs_cover_set(
@@ -120,6 +132,7 @@ def dfs_cover_set(
     n = t.n
     threshold = n * eps / (2.0 * k * ell)
     parent, sizes = rooted_sizes(t, 0)
+    ptr, idx = t.csr_lists()
     heavy: dict[int, list[tuple[int, int]]] = {}
     chosen: dict[int, float] = {}
     for anchor in intersect_set.vertices():
@@ -135,7 +148,7 @@ def dfs_cover_set(
                 up = n - sizes[u]
                 pairs = heavy[u] = [
                     (v, s)
-                    for v in t.adjacency[u]
+                    for v in idx[ptr[u] : ptr[u + 1]]
                     if (s := sizes[v] if parent[v] == u else up) >= threshold
                 ]
             for v, s in pairs:

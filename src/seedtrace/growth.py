@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import STREAM_ANON, STREAM_GROW, derive_seed, make_rng
-from .tree import SeedPlacement, Tree, TreeError, _tree_unchecked
+from .tree import SeedPlacement, Tree, TreeError, _csr_from_edges
 
 
 @dataclass
@@ -116,13 +116,10 @@ def _degree_weight(degree: int, alpha: float) -> float:
     return float(degree) ** alpha
 
 
-def generate(
-    seed_tree: Tree, n: int, alpha: float = 0.0, rng_seed: int = 0
-) -> tuple[Tree, GrowthRecord]:
-    """Grow a tree of size n from seed_tree; returns it with its GrowthRecord.
+def _grow_record(seed_tree: Tree, n: int, alpha: float, rng_seed: int) -> GrowthRecord:
+    """Draw the parent array of a growth to size n; no tree is built.
 
-    The result is in original labels: seed vertices keep their ids, arrivals
-    are labeled k, k+1, ... in order.
+    ``generate`` and the parents-only distribution checks share this draw.
     """
     k = seed_tree.n
     if n < k:
@@ -153,20 +150,35 @@ def generate(
             sampler.append(_degree_weight(1, alpha))
             degrees.append(1)
         parents = out
-
-    adj: list[list[int]] = [list(seed_tree.adjacency[v]) for v in range(k)]
-    for i, p in enumerate(parents, start=k):
-        adj.append([int(p)])
-        adj[int(p)].append(i)
-    tree = _tree_unchecked(n, adj)
     placement = SeedPlacement(
         vertices=tuple(range(k)),
         leaf_ids=frozenset(v for v in range(k) if seed_tree.degree(v) == 1),
     )
-    record = GrowthRecord(
+    return GrowthRecord(
         seed=placement, parents=parents, alpha=float(alpha), rng_seed=int(rng_seed)
     )
-    return tree, record
+
+
+def _grown_edges(seed_tree: Tree, parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge arrays of the grown tree in original labels: the seed's edges,
+    then (i, parents[i - k]) for every arrival i."""
+    k = seed_tree.n
+    seed_us, seed_vs = seed_tree.edge_arrays()
+    parents = np.asarray(parents, dtype=np.int64)
+    arrivals = np.arange(k, k + len(parents), dtype=np.int64)
+    return np.concatenate((seed_us, arrivals)), np.concatenate((seed_vs, parents))
+
+
+def generate(
+    seed_tree: Tree, n: int, alpha: float = 0.0, rng_seed: int = 0
+) -> tuple[Tree, GrowthRecord]:
+    """Grow a tree of size n from seed_tree; returns it with its GrowthRecord.
+
+    The result is in original labels: seed vertices keep their ids, arrivals
+    are labeled k, k+1, ... in order.
+    """
+    record = _grow_record(seed_tree, n, alpha, rng_seed)
+    return _csr_from_edges(n, *_grown_edges(seed_tree, record.parents)), record
 
 
 def anonymize(t: Tree, record: GrowthRecord, rng_seed: int | None = None) -> Tree:
@@ -180,27 +192,17 @@ def anonymize(t: Tree, record: GrowthRecord, rng_seed: int | None = None) -> Tre
     rng = make_rng(derive_seed(rng_seed, 0, STREAM_ANON))
     perm = rng.permutation(t.n)
     record.anonymization = perm
-    adj: list[list[int]] = [[] for _ in range(t.n)]
-    for v in range(t.n):
-        adj[int(perm[v])] = [int(perm[w]) for w in t.adjacency[v]]
-    return _tree_unchecked(t.n, adj)
+    us, vs = t.edge_arrays()
+    return _csr_from_edges(t.n, perm[us], perm[vs])
 
 
 def rebuild_from_record(seed_tree: Tree, record: GrowthRecord) -> Tree:
     """Replay parents (and anonymization, if set) into the presented tree."""
-    k = seed_tree.n
-    adj: list[list[int]] = [list(seed_tree.adjacency[v]) for v in range(k)]
-    for i, p in enumerate(record.parents, start=k):
-        adj.append([int(p)])
-        adj[int(p)].append(i)
-    t = _tree_unchecked(record.n, adj)
-    if record.anonymization is None:
-        return t
-    perm = record.anonymization
-    out: list[list[int]] = [[] for _ in range(t.n)]
-    for v in range(t.n):
-        out[int(perm[v])] = [int(perm[w]) for w in t.adjacency[v]]
-    return _tree_unchecked(t.n, out)
+    us, vs = _grown_edges(seed_tree, record.parents)
+    if record.anonymization is not None:
+        perm = np.asarray(record.anonymization, dtype=np.int64)
+        us, vs = perm[us], perm[vs]
+    return _csr_from_edges(record.n, us, vs)
 
 
 def seed_component_sizes(record: GrowthRecord) -> np.ndarray:

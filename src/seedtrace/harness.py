@@ -28,6 +28,7 @@ import numpy as np
 from .centrality import dfs_cover_set, psi_set, phi_set
 from .growth import (
     GrowthRecord,
+    _grow_record,
     anonymize,
     generate,
     rebuild_from_record,
@@ -320,6 +321,7 @@ class ExperimentResult:
             "p_hat": self.p_hat,
             "ci_lo": self.ci_lo,
             "ci_hi": self.ci_hi,
+            "need": [o.need for o in self.outcomes],
             "config": self.config.to_json(),
         }
 
@@ -381,8 +383,7 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialOutcome:
 
 
 def _verify_replay(seed: Tree, record: GrowthRecord, presented: Tree) -> None:
-    replayed = rebuild_from_record(seed, record)
-    if replayed.adjacency != presented.adjacency:
+    if rebuild_from_record(seed, record) != presented:
         raise RuntimeError(
             "replay mismatch: stored GrowthRecord does not rebuild the "
             "presented tree"
@@ -643,7 +644,7 @@ def _check_dirichlet(params: dict) -> CheckResult:
     threshold = float(params.get("threshold", 0.06))
     fractions = np.empty(trials)
     for i in range(trials):
-        _, record = generate(seed, n, rng_seed=derive_seed(master_seed, i))
+        record = _grow_record(seed, n, 0.0, derive_seed(master_seed, i))
         fractions[i] = seed_component_sizes(record)[vertex] / n
     stat = ks_statistic(fractions, lambda x: beta_cdf(1, k - 1, x))
     return CheckResult(
@@ -711,12 +712,12 @@ def _check_conditional(params: dict) -> CheckResult:
     counts = [0] * len(keys)
     matched = 0
     for i in range(trials):
-        t, record = generate(seed, n, rng_seed=derive_seed(master_seed, i))
+        record = _grow_record(seed, n, 0.0, derive_seed(master_seed, i))
         sizes = seed_component_sizes(record)
         if sizes[vertex] != m:
             continue
         matched += 1
-        group = _hanging_group(t, record, vertex)
+        group = _hanging_group(record, vertex)
         key = _shape_key(group, 0)
         counts[index[key]] += 1
     probs = [float(expected[key]) for key in keys]
@@ -733,27 +734,22 @@ def _check_conditional(params: dict) -> CheckResult:
     )
 
 
-def _hanging_group(t: Tree, record: GrowthRecord, vertex: int):
-    """Local adjacency of the subtree hanging at one seed vertex (root 0)."""
+def _hanging_group(record: GrowthRecord, vertex: int):
+    """Local adjacency of the subtree hanging at one seed vertex (root 0),
+    read off the parent array: every member arrival joins its parent."""
     k = record.k
-    n = record.n
-    comp = list(range(k)) + [0] * (n - k)
-    for i, p in enumerate(record.parents, start=k):
-        comp[i] = comp[int(p)]
-    members = [v for v in range(n) if comp[v] == vertex]
-    # make the seed vertex local root 0
-    order = sorted(members)
-    if order[0] != vertex:
-        i = order.index(vertex)
-        order[0], order[i] = order[i], order[0]
-    local = {v: i for i, v in enumerate(order)}
-    adj = [[] for _ in range(len(order))]
-    mem = set(members)
-    for v in members:
-        for w in t.adjacency[v]:
-            if w in mem and v < w:
-                adj[local[v]].append(local[w])
-                adj[local[w]].append(local[v])
+    parents = record.parents.tolist()
+    comp = list(range(k)) + [0] * len(parents)
+    for i, p in enumerate(parents, start=k):
+        comp[i] = comp[p]
+    # the seed vertex is the smallest member, so it becomes local 0
+    members = [v for v in range(record.n) if comp[v] == vertex]
+    local = {v: i for i, v in enumerate(members)}
+    adj: list[list[int]] = [[] for _ in members]
+    for v in members[1:]:
+        a, b = local[v], local[parents[v - k]]
+        adj[a].append(b)
+        adj[b].append(a)
     return adj
 
 
@@ -777,7 +773,7 @@ def _check_naked_leaf(params: dict) -> CheckResult:
     )
     naked = 0
     for i in range(trials):
-        _, record = generate(seed, k_final, rng_seed=derive_seed(master_seed, i))
+        record = _grow_record(seed, k_final, 0.0, derive_seed(master_seed, i))
         if seed_component_sizes(record)[leaf] == 1:
             naked += 1
     p_hat = naked / trials

@@ -101,24 +101,7 @@ class _AllRoots:
                 down[v] = get(tuple(sorted(down[c] for c in ch)))
         self.down = down
 
-        # up pass: code of the rest of the tree as seen across the parent edge
-        up = [-1] * n
-        for p in order:
-            ch = children[p]
-            if not ch:
-                continue
-            base = sorted(down[c] for c in ch)
-            if parent[p] != -1:
-                insort(base, up[p])
-            if len(ch) == 1 and parent[p] == -1:
-                # removing the only child leaves the bare root
-                up[ch[0]] = 0
-                continue
-            for c in ch:
-                rest = list(base)
-                rest.pop(bisect_left(rest, down[c]))
-                up[c] = get(tuple(rest))
-        self.up = up
+        self.up = up = self._up_codes(order, parent, children, down, get)
 
         self.intern = intern
 
@@ -164,6 +147,39 @@ class _AllRoots:
         self.code_height: list[int] = []
         self.code_w: list[float] = []
         self.terms: dict[tuple[int, tuple[int, ...]], float] = {}
+
+    @staticmethod
+    def _up_codes(order, parent, children, down, get) -> list[int]:
+        """Up pass: the code of the rest of the tree seen across each
+        vertex's parent edge.
+
+        Children with one down code share one up code, so the sorted code
+        list is copied once per distinct child code, not once per child (a
+        star's centre would cost O(deg^2)).  The first child with a code makes
+        the ``get`` call, so codes are interned in the same order as with a
+        call per child.
+        """
+        up = [-1] * len(order)
+        for p in order:
+            ch = children[p]
+            if not ch:
+                continue
+            base = sorted(down[c] for c in ch)
+            if parent[p] != -1:
+                insort(base, up[p])
+            if len(ch) == 1 and parent[p] == -1:
+                # removing the only child leaves the bare root
+                up[ch[0]] = 0
+                continue
+            shared: dict[int, int] = {}
+            for c in ch:
+                code = shared.get(down[c])
+                if code is None:
+                    rest = list(base)
+                    rest.pop(bisect_left(rest, down[c]))
+                    code = shared[down[c]] = get(tuple(rest))
+                up[c] = code
+        return up
 
     def log_likelihoods(self) -> list[float]:
         n = self.n

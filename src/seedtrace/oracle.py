@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .tree import SeedPlacement, Tree, TreeError
+from .tree import SeedPlacement, Tree, TreeError, build_tree
 
 MAX_ORACLE_N = 9
 
@@ -198,7 +198,7 @@ def enumerate_shapes(n: int) -> list[Tree]:
     """One representative per unlabeled tree shape with exactly n vertices."""
     if n < 1:
         raise TreeError(f"shape enumeration needs n >= 1, got {n}")
-    reps: list[Tree] = [Tree(n=1, adjacency=((),))]
+    reps: list[Tree] = [build_tree(1, [])]
     for size in range(2, n + 1):
         seen: dict[tuple, Tree] = {}
         for smaller in reps:
@@ -209,8 +209,8 @@ def enumerate_shapes(n: int) -> list[Tree]:
                 adj.append([attach])
                 key = _free_key(adj, list(range(size)))
                 if key not in seen:
-                    seen[key] = Tree(
-                        n=size, adjacency=tuple(tuple(sorted(a)) for a in adj)
+                    seen[key] = build_tree(
+                        size, [(u, w) for u in range(size) for w in adj[u] if u < w]
                     )
         reps = sorted(seen.values(), key=lambda tr: tr.edges())
     return reps

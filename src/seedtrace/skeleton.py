@@ -59,7 +59,7 @@ def skeleton_leaf_set(obs: SkeletonObservation, k: int) -> ConfidenceSet:
     sizes = hanging_sizes(t, obs.skeleton_ids)  # validates connectivity
     candidates = set()
     for u in obs.skeleton_ids:
-        for w in t.adjacency[u]:
+        for w in t.neighbors(u):
             if w not in skeleton:
                 candidates.add(w)
     return top_k(sizes, k, direction="max", eligible=candidates.__contains__)
@@ -90,7 +90,7 @@ def star_recover(t: Tree, k: int, m: int, m_prime: int) -> ConfidenceSet:
         # size descending, ties by vertex id ascending
         ranked = nsmallest(
             m_prime,
-            ((-(sizes[w] if parent[w] == center else up), w) for w in t.adjacency[center]),
+            ((-(sizes[w] if parent[w] == center else up), w) for w in t.neighbors(center)),
         )
         for rank, (_, v) in enumerate(ranked, start=1):
             if v not in chosen:

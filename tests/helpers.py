@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 from collections import Counter
+from bisect import bisect_left, insort
 import math
 
-from seedtrace import generate, log_likelihood_all, path_tree, psi_set
+from seedtrace import build_tree, generate, log_likelihood_all, path_tree, psi_set
 from seedtrace.skeleton import SkeletonObservation, skeleton_leaf_set
 from seedtrace.tree import SeedPlacement, Tree, bfs_order
 
@@ -109,7 +110,8 @@ def hanging_decomposition(t: Tree, placement: SeedPlacement) -> list[tuple[int, 
             a, b = local[v], local[parent[v]]
             adj[a].append(b)
             adj[b].append(a)
-        out.append((root, Tree(n=len(verts), adjacency=tuple(tuple(sorted(a)) for a in adj))))
+        edges = [(a, b) for a in range(len(verts)) for b in adj[a] if a < b]
+        out.append((root, build_tree(len(verts), edges)))
     return out
 
 
@@ -180,3 +182,82 @@ def reference_star_recover(t: Tree, m: int, m_prime: int):
         for rank, v in enumerate(leaves.vertices(), start=1):
             chosen.setdefault(v, float(rank))
     return tuple(chosen.items())
+
+
+def reference_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Tuple-of-tuples adjacency built as Tree stored it before CSR: both
+    directions appended to per-vertex lists, then each list sorted."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[int(u)].append(int(v))
+        adj[int(v)].append(int(u))
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+def reference_grown_adjacency(seed_edges, k: int, parents, perm=None):
+    """The grown (and, given perm, presented) adjacency as generate and
+    anonymize built it before CSR: seed lists, each arrival appended to its
+    parent's list, then every row relabeled through perm."""
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for u, v in seed_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for i, p in enumerate(parents, start=k):
+        adj.append([int(p)])
+        adj[int(p)].append(i)
+    if perm is not None:
+        out: list[list[int]] = [[] for _ in adj]
+        for v in range(len(adj)):
+            out[int(perm[v])] = [int(perm[w]) for w in adj[v]]
+        adj = out
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+def reference_edges(adjacency) -> list[tuple[int, int]]:
+    return [(u, v) for u, nbrs in enumerate(adjacency) for v in nbrs if u < v]
+
+
+def reference_bfs_order(adjacency, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order and parents over tuple adjacency (head-index queue)."""
+    parent = [-1] * len(adjacency)
+    order = [root]
+    parent[root] = root
+    head = 0
+    while head < len(order):
+        u = order[head]
+        head += 1
+        for v in adjacency[u]:
+            if parent[v] == -1:
+                parent[v] = u
+                order.append(v)
+    parent[root] = -1
+    return order, parent
+
+
+def reference_rooted_sizes(adjacency, root: int) -> tuple[list[int], list[int]]:
+    order, parent = reference_bfs_order(adjacency, root)
+    sizes = [1] * len(adjacency)
+    for u in reversed(order[1:]):
+        sizes[parent[u]] += sizes[u]
+    return parent, sizes
+
+
+def reference_up_codes(order, parent, children, down, get) -> list[int]:
+    """The all-roots up pass with one sorted-list copy and one ``get`` call per
+    child: O(deg^2) at a vertex of degree deg."""
+    up = [-1] * len(order)
+    for p in order:
+        ch = children[p]
+        if not ch:
+            continue
+        base = sorted(down[c] for c in ch)
+        if parent[p] != -1:
+            insort(base, up[p])
+        if len(ch) == 1 and parent[p] == -1:
+            up[ch[0]] = 0
+            continue
+        for c in ch:
+            rest = list(base)
+            rest.pop(bisect_left(rest, down[c]))
+            up[c] = get(tuple(rest))
+    return up

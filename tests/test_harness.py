@@ -434,3 +434,36 @@ def test_distribution_check_json():
     d = res.to_json()
     assert set(d) == {"kind", "statistic", "threshold", "passed", "details"}
     json.dumps(d)  # must be serializable
+
+
+# one small runnable config per estimator
+_EVERY_METHOD = {
+    "psi": dict(criterion="root-in-set", params={"K": 5}, seed_n=1),
+    "phi": dict(criterion="cover-seed", params={"K": 4}, seed_edges=((0, 1), (1, 2))),
+    "mle-root": dict(criterion="root-in-set", params={}, seed_n=1),
+    "dfs-cover": dict(criterion="cover-seed", params={"k_star": 6, "eps": 0.3, "K": 8},
+                      seed_edges=((0, 1), (1, 2), (2, 3))),
+    "mle-seed": dict(criterion="cover-seed", params={}, seed_edges=((0, 1), (1, 2))),
+    "skeleton-leaves": dict(criterion="cover-leaves", params={"K": 3},
+                            seed_edges=((0, 1), (1, 2), (0, 3), (3, 4))),
+    "star": dict(criterion="cover-seed", params={"m": 2, "m_prime": 3},
+                 seed_edges=((0, 1), (0, 2), (0, 3))),
+}
+
+
+def test_summary_need_matches_csv_success_for_every_method():
+    from seedtrace.harness import ESTIMATORS
+
+    assert set(_EVERY_METHOD) == set(ESTIMATORS)
+    for method, overrides in _EVERY_METHOD.items():
+        base = dict(n=40, method=method, trials=12, master_seed=17, seed_n=None)
+        res = run_experiment(ExperimentConfig(**{**base, **overrides}))
+        need = json.loads(json.dumps(res.to_json()))["need"]
+        buf = io.StringIO()
+        write_results_csv(res, buf)
+        rows = buf.getvalue().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(12))
+        success = [r.split(",")[8] == "1" for r in rows]
+        assert [v is not None for v in need] == success, method
+        assert all(v is None or (type(v) is int and v >= 1) for v in need), method
+        assert res.successes == sum(success)
