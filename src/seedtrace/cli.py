@@ -33,8 +33,11 @@ EXIT_CHECK_FAILED = 4
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity would make invalid JSON
+        raise ConfigError(f"result holds a non-finite number: {exc}") from None
+    sys.stdout.write(text + "\n")
 
 
 def _cmd_gen(args) -> int:
@@ -93,7 +96,10 @@ def _cmd_find_seed(args) -> int:
 
 def _cmd_find_leaves(args) -> int:
     t = read_tree(args.tree)
-    skeleton = tuple(int(x) for x in args.skeleton.split(","))
+    skeleton = harness._as(
+        lambda text: tuple(int(x) for x in text.split(",")), args.skeleton,
+        "--skeleton must be comma-separated vertex ids",
+    )
     obs = SkeletonObservation.make(t, skeleton)
     cs = skeleton_leaf_set(obs, args.K)
     _emit({"skeleton": [int(v) for v in obs.skeleton_ids], **cs.to_json()})
@@ -156,9 +162,7 @@ def _cmd_check_dist(args) -> int:
         if not isinstance(params, dict):
             raise ConfigError("--params must be a JSON object")
     if args.master_seed is not None or "master_seed" not in params:
-        params["master_seed"] = resolve_master_seed(
-            args.master_seed, int(params.get("master_seed", 0))
-        )
+        params["master_seed"] = resolve_master_seed(args.master_seed)
     result = distribution_check(args.kind, params)
     _emit(result.to_json())
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED

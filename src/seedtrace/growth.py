@@ -17,10 +17,20 @@ alpha = 0 the attachment choices are one vectorized bounded-integer draw;
 with alpha > 0 one uniform double is consumed per arrival.  Anonymization
 uses its own stream derived from the same trial seed, so growth and
 relabeling never interleave draws.
+
+alpha must be finite and >= 0, with n * (n - 1)**alpha a finite double, so
+that every weight and every sum of weights is finite.
+
+Cost: the alpha = 0 draw is one numpy call.  The alpha > 0 draw is a Python
+loop over arrivals, each a Fenwick descent and two Fenwick update walks, so
+O(n log n) interpreted steps: best of N on a 2-core machine (Python 3.11.7,
+numpy 2.4.6), about 4.2-6.4 ms at n=2000 and 0.52-0.57 s at n=1e5, for
+alpha 0.5 and 1 alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,47 +83,91 @@ class GrowthRecord:
         }
 
 
-class _FenwickSampler:
-    """Fenwick tree over per-vertex weights for O(log n) weighted picks."""
-
-    def __init__(self, capacity: int):
-        self.cap = capacity
-        self.bit = [0.0] * (capacity + 1)
-        self.size = 0
-        self.total = 0.0
-
-    def append(self, w: float) -> None:
-        i = self.size + 1
-        self.size += 1
-        self.total += w
-        while i <= self.cap:
-            self.bit[i] += w
-            i += i & (-i)
-
-    def add(self, idx: int, delta: float) -> None:
-        self.total += delta
-        i = idx + 1
-        while i <= self.cap:
-            self.bit[i] += delta
-            i += i & (-i)
-
-    def find(self, target: float) -> int:
-        """Largest prefix whose cumulative weight stays below target."""
-        idx = 0
-        mask = 1 << (self.cap.bit_length() - 1)
-        while mask:
-            nxt = idx + mask
-            if nxt <= self.cap and self.bit[nxt] < target:
-                idx = nxt
-                target -= self.bit[nxt]
-            mask >>= 1
-        return min(idx, self.size - 1)
-
-
 def _degree_weight(degree: int, alpha: float) -> float:
     if degree == 0:
         return 1.0
     return float(degree) ** alpha
+
+
+def _alpha_fits(n: int, alpha: float) -> bool:
+    """Whether alpha is finite, >= 0 and n * (n - 1)**alpha a finite double.
+
+    A vertex has degree at most n - 1, so that product bounds the total
+    weight: when it is finite, no weight, node sum or target of the weighted
+    draw is inf or NaN, and the draw loop needs no check of its own."""
+    try:
+        return (
+            math.isfinite(alpha)
+            and alpha >= 0
+            and math.isfinite(n * float(max(n - 1, 1)) ** alpha)
+        )
+    except OverflowError:
+        return False
+
+
+def _weighted_parents(degrees: list[int], n: int, alpha: float, u01: list[float]) -> list[int]:
+    """Parents of arrivals len(degrees) .. n-1, each drawn with probability
+    proportional to degree**alpha; ``degrees`` are the seed's and are updated.
+
+    A Fenwick tree over the weights (Fenwick, "A new data structure for
+    cumulative frequency tables", 1994) picks a vertex in O(log n): arrival i
+    takes the largest prefix whose weight stays below u * total, clamped to
+    the last vertex.  Node sums and ``total`` take their additions in event
+    order: the seed weights, then per arrival the parent's increment and the
+    new leaf's weight.  Any draw that keeps this order and these float
+    expressions picks the same parents from the same uniforms.
+    """
+    top = 1 << (n.bit_length() - 1)
+    # the descent reaches index 2*top - 1; +inf past n is never taken, and
+    # every update walk stops at n, so the padding is never written
+    bit = [0.0] * (n + 1) + [math.inf] * (2 * top - n - 1)
+    masks = [top >> j for j in range(top.bit_length())]
+    total = 0.0
+    size = 0
+    for d in degrees:
+        w = _degree_weight(d, alpha)
+        size += 1
+        total += w
+        i = size
+        while i <= n:
+            bit[i] += w
+            i += i & -i
+    # inc[d]: the weight a vertex gains going from degree d to d + 1
+    inc = [
+        _degree_weight(d + 1, alpha) - _degree_weight(d, alpha)
+        for d in range(max(max(degrees), 1) + 1)
+    ]
+    leaf = _degree_weight(1, alpha)
+    out = []
+    for u in u01:
+        target = u * total
+        idx = 0
+        for mask in masks:
+            b = bit[idx + mask]
+            if b < target:
+                idx += mask
+                target -= b
+        p = idx if idx < size else size - 1
+        out.append(p)
+        d = degrees[p]
+        delta = inc[d]
+        total += delta
+        i = p + 1
+        while i <= n:
+            bit[i] += delta
+            i += i & -i
+        d += 1
+        degrees[p] = d
+        if d == len(inc):
+            inc.append(_degree_weight(d + 1, alpha) - _degree_weight(d, alpha))
+        size += 1
+        total += leaf
+        i = size
+        while i <= n:
+            bit[i] += leaf
+            i += i & -i
+        degrees.append(1)
+    return out
 
 
 def _grow_record(seed_tree: Tree, n: int, alpha: float, rng_seed: int) -> GrowthRecord:
@@ -124,8 +178,11 @@ def _grow_record(seed_tree: Tree, n: int, alpha: float, rng_seed: int) -> Growth
     k = seed_tree.n
     if n < k:
         raise TreeError(f"target size {n} is smaller than the seed size {k}")
-    if alpha < 0:
-        raise TreeError(f"attachment exponent must be >= 0, got {alpha}")
+    if not _alpha_fits(n, alpha):
+        raise TreeError(
+            f"attachment exponent must be finite and >= 0 with n * (n - 1)**alpha "
+            f"a finite double, got {alpha} at n={n}"
+        )
     rng = make_rng(derive_seed(rng_seed, 0, STREAM_GROW))
     if n == k:
         parents = np.empty(0, dtype=np.int64)
@@ -133,23 +190,9 @@ def _grow_record(seed_tree: Tree, n: int, alpha: float, rng_seed: int) -> Growth
         # uniform: arrival i picks among the i existing vertices
         parents = rng.integers(0, np.arange(k, n, dtype=np.int64))
     else:
-        sampler = _FenwickSampler(n)
         degrees = [seed_tree.degree(v) for v in range(k)]
-        for v in range(k):
-            sampler.append(_degree_weight(degrees[v], alpha))
-        out = np.empty(n - k, dtype=np.int64)
-        u01 = rng.random(n - k)
-        for step in range(n - k):
-            target = u01[step] * sampler.total
-            p = sampler.find(target)
-            out[step] = p
-            sampler.add(
-                p, _degree_weight(degrees[p] + 1, alpha) - _degree_weight(degrees[p], alpha)
-            )
-            degrees[p] += 1
-            sampler.append(_degree_weight(1, alpha))
-            degrees.append(1)
-        parents = out
+        u01 = rng.random(n - k).tolist()
+        parents = np.array(_weighted_parents(degrees, n, alpha, u01), dtype=np.int64)
     placement = SeedPlacement(
         vertices=tuple(range(k)),
         leaf_ids=frozenset(v for v in range(k) if seed_tree.degree(v) == 1),

@@ -28,6 +28,7 @@ import numpy as np
 from .centrality import dfs_cover_set, psi_set, phi_set
 from .growth import (
     GrowthRecord,
+    _alpha_fits,
     _grow_record,
     anonymize,
     generate,
@@ -140,6 +141,17 @@ def _count(value) -> int:
     return count
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"not finite: {value!r}")
+    return number
+
+
+def _edge_pairs(value) -> tuple[tuple[int, int], ...]:
+    return tuple((_whole(u), _whole(v)) for u, v in value)
+
+
 def _estimator_params(spec: EstimatorSpec, params: dict) -> dict:
     """params with every required value present and converted to its type."""
     out = dict(params)
@@ -214,6 +226,11 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not _alpha_fits(self.n, self.alpha):
+            raise ConfigError(
+                f"config 'alpha' must be finite and >= 0 with n * (n - 1)**alpha a "
+                f"finite double, got {self.alpha!r} at n={self.n}"
+            )
         seed = self.seed_tree()
         if self.n < seed.n:
             raise ConfigError(
@@ -263,8 +280,7 @@ class ExperimentConfig:
                 raise ConfigError(f"config missing required key {key!r}")
         edges = d.get("seed_edges")
         if edges is not None:
-            edges = _as(lambda e: tuple((_whole(u), _whole(v)) for u, v in e), edges,
-                        "config 'seed_edges' must be a list of integer pairs")
+            edges = _as(_edge_pairs, edges, "config 'seed_edges' must be a list of integer pairs")
         seed_file = d.get("seed_file")
         if seed_file is not None and not isinstance(seed_file, str):
             raise ConfigError(f"config 'seed_file' must be a path string, got {seed_file!r}")
@@ -608,40 +624,53 @@ def distribution_check(kind: str, params: dict | None = None) -> CheckResult:
 
     Kinds: dirichlet-marginal, spacings, conditional-urrt, naked-leaf.
     Each draws its own trials from params['master_seed'] and compares a
-    statistic against a documented threshold.
+    statistic against a documented threshold.  Every param is optional;
+    unknown keys are refused.
     """
+    if kind not in _CHECKS:
+        raise ConfigError(f"unknown check kind {kind!r}; expected one of {sorted(_CHECKS)}")
+    check, fields = _CHECKS[kind]
     params = dict(params or {})
-    if kind == "dirichlet-marginal":
-        return _check_dirichlet(params)
-    if kind == "spacings":
-        return _check_spacings(params)
-    if kind == "conditional-urrt":
-        return _check_conditional(params)
-    if kind == "naked-leaf":
-        return _check_naked_leaf(params)
-    raise ConfigError(
-        f"unknown check kind {kind!r}; expected dirichlet-marginal, spacings, "
-        f"conditional-urrt, or naked-leaf"
-    )
+    unknown = set(params) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {kind} params: {sorted(unknown)}")
+    converted = {}
+    for key, (convert, default) in fields.items():
+        value = params.get(key)
+        converted[key] = default if value is None else _as(
+            convert, value, f"{kind} param {key!r} must be {_EXPECTED[convert]}"
+        )
+    return check(converted)
 
 
-def _check_seed_tree(params: dict, default_edges) -> Tree:
-    edges = params.get("seed_edges", default_edges)
+_EXPECTED = {
+    _whole: "an integer",
+    _count: "an integer >= 1",
+    _finite: "a finite number",
+    _edge_pairs: "a list of integer pairs",
+}
+_CHECK_SEED = ((0, 1), (1, 2))
+
+
+def _check_seed_tree(edges) -> Tree:
     n = max(max(u, v) for u, v in edges) + 1 if edges else 1
-    return build_tree(n, tuple((int(u), int(v)) for u, v in edges))
+    return build_tree(n, edges)
 
 
-def _check_dirichlet(params: dict) -> CheckResult:
+def _check_vertex(p: dict, key: str, k: int) -> int:
+    if not (0 <= p[key] < k):
+        raise ConfigError(f"param {key!r} must be a seed vertex in 0..{k - 1}, got {p[key]}")
+    return p[key]
+
+
+def _check_dirichlet(p: dict) -> CheckResult:
     """Hanging-size fraction at one seed vertex vs its Beta(1, k-1) limit."""
-    n = int(params.get("n", 20000))
-    trials = int(params.get("trials", 1000))
-    master_seed = int(params.get("master_seed", 0))
-    vertex = int(params.get("seed_vertex", 0))
-    seed = _check_seed_tree(params, ((0, 1), (1, 2)))
+    n, trials, master_seed, threshold = p["n"], p["trials"], p["master_seed"], p["threshold"]
+    seed = _check_seed_tree(p["seed_edges"])
     k = seed.n
     if k < 2:
         raise ConfigError("dirichlet-marginal needs a seed with k >= 2")
-    threshold = float(params.get("threshold", 0.06))
+    vertex = _check_vertex(p, "seed_vertex", k)
     fractions = np.empty(trials)
     for i in range(trials):
         record = _grow_record(seed, n, 0.0, derive_seed(master_seed, i))
@@ -656,19 +685,18 @@ def _check_dirichlet(params: dict) -> CheckResult:
     )
 
 
-def _check_spacings(params: dict) -> CheckResult:
+def _check_spacings(p: dict) -> CheckResult:
     """Uniform spacing marginals: S_1 and j * min of j spacings vs Beta(1, k-1)."""
     from .stats import uniform_spacings
 
-    k = int(params.get("k", 6))
-    j = int(params.get("j", 3))
-    samples = int(params.get("samples", 4000))
-    master_seed = int(params.get("master_seed", 0))
+    k, j, samples, master_seed = p["k"], p["j"], p["samples"], p["master_seed"]
     if not (1 <= j <= k):
         raise ConfigError(f"need 1 <= j <= k, got j={j} k={k}")
     if k < 2:
         raise ConfigError("spacings check needs k >= 2")
-    threshold = float(params.get("threshold", ks_critical(samples, 0.01)))
+    threshold = p["threshold"]
+    if threshold is None:
+        threshold = ks_critical(samples, 0.01)
     rng = make_rng(derive_seed(master_seed, 0))
     first = np.empty(samples)
     scaled_min = np.empty(samples)
@@ -693,19 +721,16 @@ def _check_spacings(params: dict) -> CheckResult:
     )
 
 
-def _check_conditional(params: dict) -> CheckResult:
+def _check_conditional(p: dict) -> CheckResult:
     """Conditioned hanging subtree vs the small-tree rooted shape law.
 
     Conditional on the subtree hanging at a fixed seed vertex having size m,
     its rooted shape must follow plain uniform attachment to m vertices.
     """
-    n = int(params.get("n", 24))
-    m = int(params.get("cond_size", 4))
-    trials = int(params.get("trials", 6000))
-    master_seed = int(params.get("master_seed", 0))
-    vertex = int(params.get("seed_vertex", 0))
-    threshold = float(params.get("threshold", 0.01))
-    seed = _check_seed_tree(params, ((0, 1), (1, 2)))
+    n, m, trials, master_seed = p["n"], p["cond_size"], p["trials"], p["master_seed"]
+    threshold = p["threshold"]
+    seed = _check_seed_tree(p["seed_edges"])
+    vertex = _check_vertex(p, "seed_vertex", seed.n)
     expected = rooted_shape_distribution(m)
     keys = sorted(expected)
     index = {key: i for i, key in enumerate(keys)}
@@ -753,13 +778,10 @@ def _hanging_group(record: GrowthRecord, vertex: int):
     return adj
 
 
-def _check_naked_leaf(params: dict) -> CheckResult:
+def _check_naked_leaf(p: dict) -> CheckResult:
     """P(a fixed star-seed leaf still has no children at size K) = (k-1)/(K-1)."""
-    k = int(params.get("k", 4))
-    k_final = int(params.get("K", 13))
-    trials = int(params.get("trials", 10000))
-    master_seed = int(params.get("master_seed", 0))
-    leaf = int(params.get("leaf_vertex", 1))
+    k, k_final, trials, master_seed = p["k"], p["K"], p["trials"], p["master_seed"]
+    leaf = p["leaf_vertex"]
     if k < 2:
         raise ConfigError("naked-leaf needs a star seed with k >= 2")
     if k_final <= k:
@@ -768,9 +790,9 @@ def _check_naked_leaf(params: dict) -> CheckResult:
     if not (1 <= leaf < k):
         raise ConfigError(f"leaf_vertex must be a star leaf in 1..{k - 1}, got {leaf}")
     expected = (k - 1) / (k_final - 1)
-    tol = float(
-        params.get("tol", 3.5 * math.sqrt(expected * (1 - expected) / trials))
-    )
+    tol = p["tol"]
+    if tol is None:
+        tol = 3.5 * math.sqrt(expected * (1 - expected) / trials)
     naked = 0
     for i in range(trials):
         record = _grow_record(seed, k_final, 0.0, derive_seed(master_seed, i))
@@ -788,3 +810,27 @@ def _check_naked_leaf(params: dict) -> CheckResult:
             "k": k, "K": k_final,
         },
     )
+
+
+# kind -> (check, {param: (conversion, default)}); a None default is worked
+# out by the check from the other params
+_CHECKS = {
+    "dirichlet-marginal": (_check_dirichlet, {
+        "n": (_count, 20000), "trials": (_count, 1000), "master_seed": (_whole, 0),
+        "seed_vertex": (_whole, 0), "seed_edges": (_edge_pairs, _CHECK_SEED),
+        "threshold": (_finite, 0.06),
+    }),
+    "spacings": (_check_spacings, {
+        "k": (_count, 6), "j": (_count, 3), "samples": (_count, 4000),
+        "master_seed": (_whole, 0), "threshold": (_finite, None),
+    }),
+    "conditional-urrt": (_check_conditional, {
+        "n": (_count, 24), "cond_size": (_count, 4), "trials": (_count, 6000),
+        "master_seed": (_whole, 0), "seed_vertex": (_whole, 0),
+        "seed_edges": (_edge_pairs, _CHECK_SEED), "threshold": (_finite, 0.01),
+    }),
+    "naked-leaf": (_check_naked_leaf, {
+        "k": (_count, 4), "K": (_count, 13), "trials": (_count, 10000),
+        "master_seed": (_whole, 0), "leaf_vertex": (_whole, 1), "tol": (_finite, None),
+    }),
+}

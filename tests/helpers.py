@@ -5,7 +5,10 @@ from collections import Counter
 from bisect import bisect_left, insort
 import math
 
+import numpy as np
+
 from seedtrace import build_tree, generate, log_likelihood_all, path_tree, psi_set
+from seedtrace.rng import STREAM_GROW, derive_seed, make_rng
 from seedtrace.skeleton import SkeletonObservation, skeleton_leaf_set
 from seedtrace.tree import SeedPlacement, Tree, bfs_order
 
@@ -261,3 +264,81 @@ def reference_up_codes(order, parent, children, down, get) -> list[int]:
             rest.pop(bisect_left(rest, down[c]))
             up[c] = get(tuple(rest))
     return up
+
+
+class _FenwickSampler:
+    """Fenwick tree over per-vertex weights for O(log n) weighted picks."""
+
+    def __init__(self, capacity: int):
+        self.cap = capacity
+        self.bit = [0.0] * (capacity + 1)
+        self.size = 0
+        self.total = 0.0
+
+    def append(self, w: float) -> None:
+        i = self.size + 1
+        self.size += 1
+        self.total += w
+        while i <= self.cap:
+            self.bit[i] += w
+            i += i & (-i)
+
+    def add(self, idx: int, delta: float) -> None:
+        self.total += delta
+        i = idx + 1
+        while i <= self.cap:
+            self.bit[i] += delta
+            i += i & (-i)
+
+    def find(self, target: float) -> int:
+        """Largest prefix whose cumulative weight stays below target."""
+        idx = 0
+        mask = 1 << (self.cap.bit_length() - 1)
+        while mask:
+            nxt = idx + mask
+            if nxt <= self.cap and self.bit[nxt] < target:
+                idx = nxt
+                target -= self.bit[nxt]
+            mask >>= 1
+        return min(idx, self.size - 1)
+
+
+def _reference_degree_weight(degree: int, alpha: float) -> float:
+    if degree == 0:
+        return 1.0
+    return float(degree) ** alpha
+
+
+def reference_weighted_draw(degrees: list[int], n: int, alpha: float, u01) -> list[int]:
+    """The alpha > 0 parents draw through a sampler object with one method
+    call per Fenwick walk, as growth drew it before the loop was inlined:
+    one uniform of ``u01`` per arrival, ``degrees`` being the seed's."""
+    k = len(degrees)
+    degrees = list(degrees)
+    sampler = _FenwickSampler(n)
+    for v in range(k):
+        sampler.append(_reference_degree_weight(degrees[v], alpha))
+    out = np.empty(n - k, dtype=np.int64)
+    for step in range(n - k):
+        target = u01[step] * sampler.total
+        p = sampler.find(target)
+        out[step] = p
+        sampler.add(
+            p,
+            _reference_degree_weight(degrees[p] + 1, alpha)
+            - _reference_degree_weight(degrees[p], alpha),
+        )
+        degrees[p] += 1
+        sampler.append(_reference_degree_weight(1, alpha))
+        degrees.append(1)
+    return [int(p) for p in out]
+
+
+def reference_weighted_parents(seed_tree: Tree, n: int, alpha: float, rng_seed: int) -> list[int]:
+    """``reference_weighted_draw`` on the uniforms of growth's Philox stream."""
+    k = seed_tree.n
+    if n == k:
+        return []
+    rng = make_rng(derive_seed(rng_seed, 0, STREAM_GROW))
+    degrees = [seed_tree.degree(v) for v in range(k)]
+    return reference_weighted_draw(degrees, n, alpha, rng.random(n - k))

@@ -273,6 +273,10 @@ _GOOD_CONFIG = {
         ("record_runtime", 1),
         ("record_runtime", None),
         ("record_runtime", [True]),
+        ("alpha", float("nan")),
+        ("alpha", float("inf")),
+        ("alpha", -1),
+        ("alpha", 300),
     ],
 )
 def test_experiment_malformed_field_is_data_error(tmp_path, capsys, field, value):
@@ -284,6 +288,66 @@ def test_experiment_malformed_field_is_data_error(tmp_path, capsys, field, value
     assert err.startswith("seedtrace: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert field in ("params", "search") or f"'{field}'" in err
+
+
+def _assert_one_line_error(capsys, *names):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("seedtrace: error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+    for name in names:
+        assert name in captured.err
+
+
+def test_experiment_alpha_300_at_n_2000_is_data_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_GOOD_CONFIG, "n": 2000, "alpha": 300}))
+    assert main(["experiment", "--config", str(cfg_path)]) == EXIT_DATA
+    _assert_one_line_error(capsys, "'alpha'", "n=2000")
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "300"])
+def test_gen_alpha_without_finite_weights_is_data_error(seed_file, capsys, alpha):
+    args = ["gen", "--seed-file", seed_file, "--n", "2000", "--alpha", alpha]
+    assert main(args) == EXIT_DATA
+    _assert_one_line_error(capsys, "alpha")
+
+
+def test_summary_with_a_non_finite_number_is_data_error(tmp_path, capsys):
+    """allow_nan=False: a NaN that reaches the summary is refused, not printed."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_GOOD_CONFIG, "params": {"K": 3, "note": float("nan")}}))
+    assert main(["experiment", "--config", str(cfg_path)]) == EXIT_DATA
+    _assert_one_line_error(capsys, "non-finite")
+
+
+@pytest.mark.parametrize(
+    "kind,params,name",
+    [
+        ("naked-leaf", {"trials": "abc"}, "'trials'"),
+        ("naked-leaf", {"master_seed": "x"}, "'master_seed'"),
+        ("naked-leaf", {"trials": True}, "'trials'"),
+        ("naked-leaf", {"k": 3.7}, "'k'"),
+        ("naked-leaf", {"bogus": 1}, "'bogus'"),
+        ("naked-leaf", {"tol": float("nan")}, "'tol'"),
+        ("spacings", {"samples": 0}, "'samples'"),
+        ("dirichlet-marginal", {"seed_edges": [[0, "a"]]}, "'seed_edges'"),
+        ("dirichlet-marginal", {"seed_edges": [[0, 1.5]]}, "'seed_edges'"),
+        ("dirichlet-marginal", {"seed_vertex": 3}, "'seed_vertex'"),
+        ("conditional-urrt", {"cond_size": "four"}, "'cond_size'"),
+    ],
+)
+def test_check_dist_malformed_param_is_data_error(capsys, kind, params, name):
+    args = ["check-dist", "--kind", kind, "--params", json.dumps(params)]
+    assert main(args) == EXIT_DATA
+    _assert_one_line_error(capsys, name)
+
+
+def test_find_leaves_malformed_skeleton_is_data_error(tmp_path, capsys):
+    tree_path = tmp_path / "sp.tree"
+    write_tree(spider_tree([2, 2, 1]), str(tree_path))
+    args = ["find-leaves", "--tree", str(tree_path), "--skeleton", "a,b", "--K", "3"]
+    assert main(args) == EXIT_DATA
+    _assert_one_line_error(capsys, "--skeleton")
 
 
 @contextlib.contextmanager

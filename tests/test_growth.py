@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from helpers import reference_weighted_draw, reference_weighted_parents
 from seedtrace import (
     TreeError,
     anonymize,
+    build_tree,
     generate,
     path_tree,
     seed_component_sizes,
     star_tree,
 )
-from seedtrace.growth import rebuild_from_record
+from seedtrace.growth import _grow_record, _weighted_parents, rebuild_from_record
 from seedtrace.rng import STREAM_GROW, derive_seed, make_rng
 from seedtrace.stats import chi_square_test
 
@@ -101,6 +103,60 @@ def test_weighted_sampler_matches_naive_replay():
                 degrees[pick] += 1
                 degrees.append(1)
             assert list(rec.parents) == expect
+
+
+_DRAW_SEEDS = {
+    "single vertex": path_tree(1),  # its first pick starts from degree 0
+    "path 4": path_tree(4),
+    "6 vertices": build_tree(6, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5))),
+}
+# the padding past n and the descent's first step depend on n's bit length;
+# the descent can reach the padding with a live prefix only when n is well
+# inside its power-of-two bracket, as at 700 and 1536
+_DRAW_SIZES = sorted({2**L + d for L in (9, 10, 11) for d in (-1, 0, 1)} | {700, 1536})
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("seed_name", sorted(_DRAW_SEEDS))
+def test_weighted_draw_matches_reference_sampler(alpha, seed_name):
+    """alpha > 0 parents equal the sampler-object draw bit for bit."""
+    seed = _DRAW_SEEDS[seed_name]
+    k = seed.n
+    for n in [k, k + 1] + _DRAW_SIZES:
+        for rng_seed in (0, 7, 20261017):
+            got = _grow_record(seed, n, alpha, rng_seed).parents
+            assert got.dtype == np.int64
+            assert got.tolist() == reference_weighted_parents(seed, n, alpha, rng_seed), (
+                n, rng_seed,
+            )
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0])
+def test_weighted_draw_clamps_like_reference_sampler(alpha):
+    """Uniforms just below 1 make the descent overshoot the last vertex,
+    where the pick is clamped; random states in between vary the sums."""
+    below_one = 1.0 - 2.0**-53
+    for seed in _DRAW_SEEDS.values():
+        degrees = [seed.degree(v) for v in range(seed.n)]
+        for n in (700, 1025, 2049):
+            u01 = make_rng(n).random(n - seed.n).tolist()
+            u01[::3] = [below_one] * len(u01[::3])
+            got = _weighted_parents(list(degrees), n, alpha, u01)
+            assert got == reference_weighted_draw(degrees, n, alpha, u01), n
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0, 300.0])
+def test_generate_rejects_alpha_without_finite_weights(alpha):
+    with pytest.raises(TreeError, match="finite"):
+        generate(path_tree(2), 2000, alpha=alpha)
+
+
+def test_alpha_bound_depends_on_n():
+    """n * (n - 1)**100 is finite at n=30 and overflows at n=2000."""
+    t, _ = generate(path_tree(2), 30, alpha=100.0, rng_seed=1)
+    assert t.n == 30
+    with pytest.raises(TreeError, match="n=2000"):
+        generate(path_tree(2), 2000, alpha=100.0, rng_seed=1)
 
 
 def test_anonymize_is_a_relabeling():
