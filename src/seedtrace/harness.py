@@ -37,15 +37,11 @@ from .growth import (
 )
 from .likelihood import mle_root, mle_seed
 from .oracle import _shape_key, rooted_shape_distribution
-from .rng import derive_seed, make_rng
+from .rng import ConfigError, derive_seed, make_rng
 from .skeleton import SkeletonObservation, skeleton_leaf_set, star_recover
 from .stats import chi_square_test, ks_critical, ks_statistic, wilson_interval
 from .stats import beta_cdf
 from .tree import Tree, TreeError, build_tree, read_tree
-
-
-class ConfigError(ValueError):
-    pass
 
 
 CRITERIA = ("root-in-set", "intersect", "cover-seed", "cover-leaves")
@@ -141,8 +137,15 @@ def _count(value) -> int:
     return count
 
 
+def _real(value) -> float:
+    """float(value), refusing booleans."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
 def _finite(value) -> float:
-    number = float(value)
+    number = _real(value)
     if not math.isfinite(number):
         raise ValueError(f"not finite: {value!r}")
     return number
@@ -152,14 +155,30 @@ def _edge_pairs(value) -> tuple[tuple[int, int], ...]:
     return tuple((_whole(u), _whole(v)) for u, v in value)
 
 
+# how a config field of each type is read; other types convert by calling them
+_CONVERSIONS: dict[type, Callable] = {int: _whole, float: _real}
+
+
 def _estimator_params(spec: EstimatorSpec, params: dict) -> dict:
-    """params with every required value present and converted to its type."""
+    """params with every required value present and converted to its type.
+
+    A non-finite number, or a key the method does not read (a typo would
+    otherwise fall back to a default without a word), is refused."""
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"estimator param {key!r} is a non-finite number: {value!r}")
     out = dict(params)
     for key, kind in spec.required.items():
         if key not in params:
             raise ConfigError(f"estimator params missing {key!r}")
-        convert = _whole if kind is int else kind
+        convert = _CONVERSIONS.get(kind, kind)
         out[key] = _as(convert, params[key], f"estimator param {key!r} must be {kind.__name__}")
+    known = {*spec.required, *spec.optional_counts, *([spec.k_param] if spec.k_param else [])}
+    unknown = sorted(set(params) - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown estimator params {unknown}; this method reads {sorted(known)}"
+        )
     for key in spec.optional_counts:
         if params.get(key) is not None:
             out[key] = _as(
@@ -181,7 +200,7 @@ def _run_params(method: str, params: dict, seed: Tree) -> dict:
 
 
 def _convert(d: dict, key: str, kind: type, default=None):
-    convert = _whole if kind is int else kind
+    convert = _CONVERSIONS.get(kind, kind)
     return _as(convert, d.get(key, default), f"config {key!r} must be {kind.__name__}")
 
 
@@ -553,7 +572,7 @@ def _check_search(k_grid, target, z=1.96) -> tuple[list[int], float, float]:
     grid = sorted(set(_as(_whole, k, "K grid values must be int") for k in k_grid))
     if grid[0] < 1:
         raise ConfigError(f"K grid values must be >= 1, got {grid[0]}")
-    target, z = _as(float, target, "target must be float"), _as(float, z, "z must be float")
+    target, z = _as(_real, target, "target must be float"), _as(_real, z, "z must be float")
     if not (0.0 <= target <= 1.0 and 0.0 <= z < math.inf):
         raise ConfigError(f"need target in [0, 1] and finite z >= 0, got {target}, {z}")
     return grid, target, z

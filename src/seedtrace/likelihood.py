@@ -44,7 +44,8 @@ import math
 import threading
 from bisect import bisect_left, insort
 
-from .tree import SeedPlacement, Tree, TreeError, bfs_order
+from .centrality import phi_log_all
+from .tree import SeedPlacement, Tree, TreeError
 
 
 class PlacementBudgetError(RuntimeError):
@@ -61,7 +62,7 @@ class _AllRoots:
     """
 
     __slots__ = (
-        "n", "adj", "order", "parent", "sizes", "down", "up", "aut_bar",
+        "n", "adj", "order", "parent", "down", "up", "aut_bar",
         "laut_root", "cnt", "log_phi", "intern", "lfact",
         "code_size", "code_height", "code_w", "terms",
     )
@@ -69,20 +70,15 @@ class _AllRoots:
     def __init__(self, t: Tree):
         n = t.n
         self.n = n
-        order, parent = bfs_order(t, 0)
-        self.order = order
-        self.parent = parent
+        r = t.rooting
+        self.order = order = r.order.tolist()
+        self.parent = parent = r.parent.tolist()
         adj = t.adjacency
         self.adj = adj
 
         children: list[list[int]] = [[] for _ in range(n)]
         for v in order[1:]:
             children[parent[v]].append(v)
-
-        sizes = [1] * n
-        for v in reversed(order[1:]):
-            sizes[parent[v]] += sizes[v]
-        self.sizes = sizes
 
         intern: dict[tuple[int, ...], int] = {(): 0}
 
@@ -135,13 +131,7 @@ class _AllRoots:
             full_counts[key] = full_counts.get(key, 0) + 1
         self.aut_bar = [full_counts[full_keys[v]] for v in range(n)]
 
-        # log phi by rerooting
-        log_phi = [0.0] * n
-        log_phi[0] = sum(log(sizes[v]) for v in order[1:])
-        for v in order[1:]:
-            s = sizes[v]
-            log_phi[v] = log_phi[parent[v]] + log(n - s) - log(s)
-        self.log_phi = log_phi
+        self.log_phi = phi_log_all(t)
         # per-code tables for seed placements, filled by add_code_tables
         self.code_size: list[int] = []
         self.code_height: list[int] = []

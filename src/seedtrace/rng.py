@@ -32,6 +32,11 @@ STREAM_ANON = 0x616E6F6E
 ENV_SEED_VAR = "SEEDTRACE_RNG_SEED"
 
 
+class ConfigError(ValueError):
+    """A malformed configuration value: a config file entry, a command-line
+    flag or the ``SEEDTRACE_RNG_SEED`` environment variable."""
+
+
 def mix64(x: int) -> int:
     """splitmix64 finalizer: avalanche-quality 64-bit mixing."""
     x &= MASK64
@@ -61,8 +66,6 @@ def resolve_master_seed(explicit: int | None, default: int = 0) -> int:
     if env is not None:
         try:
             return int(env, 0)
-        except ValueError as exc:
-            raise ValueError(
-                f"{ENV_SEED_VAR} must be an integer, got {env!r}"
-            ) from exc
+        except ValueError:
+            raise ConfigError(f"{ENV_SEED_VAR} must be an integer, got {env!r}") from None
     return default

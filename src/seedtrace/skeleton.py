@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from heapq import nsmallest
 
 from .centrality import psi_set
-from .tree import ConfidenceSet, Tree, TreeError, hanging_sizes, rooted_sizes, top_k
+from .tree import ConfidenceSet, Tree, TreeError, rooted_sizes
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,31 @@ def skeleton_leaf_set(obs: SkeletonObservation, k: int) -> ConfidenceSet:
     """
     if k < 1:
         raise TreeError(f"set size must be >= 1, got {k}")
-    t = obs.tree
-    skeleton = set(obs.skeleton_ids)
-    sizes = hanging_sizes(t, obs.skeleton_ids)  # validates connectivity
-    candidates = set()
-    for u in obs.skeleton_ids:
-        for w in t.neighbors(u):
-            if w not in skeleton:
-                candidates.add(w)
-    return top_k(sizes, k, direction="max", eligible=candidates.__contains__)
+    obs = SkeletonObservation.make(obs.tree, obs.skeleton_ids)
+    t, ids = obs.tree, obs.skeleton_ids
+    skeleton = set(ids)
+    # the skeleton must induce a connected subtree
+    stack, seen = [ids[0]], {ids[0]}
+    while stack:
+        for w in t.neighbors(stack.pop()):
+            if w in skeleton and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != len(ids):
+        raise TreeError("anchor set is not connected")
+    # a candidate w has one skeleton neighbour u, and hangs away from it with
+    # sizes[w] vertices when parent[w] == u, else n - sizes[u]
+    parent, sizes = rooted_sizes(t, 0)
+    ranked = nsmallest(
+        k,
+        (
+            (-(sizes[w] if parent[w] == u else t.n - sizes[u]), w)
+            for u in ids
+            for w in t.neighbors(u)
+            if w not in skeleton
+        ),
+    )
+    return ConfidenceSet(members=tuple((w, -s) for s, w in ranked), target_size=k)
 
 
 def star_recover(t: Tree, k: int, m: int, m_prime: int) -> ConfidenceSet:
@@ -164,12 +180,20 @@ def bound_leaf_existence(k: int, ell: int, eps: float) -> int:
         raise TreeError(f"need k >= 2 and ell >= 1, got k={k} ell={ell}")
     return math.floor(k * ell / (4.0 * eps))
 
+
+def _ceil_scaled(value: float, c: float) -> int:
+    """ceil(value), refusing a constant c that leaves the value non-finite."""
+    if not math.isfinite(value):
+        raise TreeError(f"parameter c must be a finite number with a finite set size, got {c}")
+    return math.ceil(value)
+
+
 def bound_heart_upper(k: int, eps: float, c: float = 1.0) -> int:
     """Constant-free set-size shape for covering a general seed."""
     _check_eps(eps)
     if k < 1:
         raise TreeError(f"need k >= 1, got {k}")
-    return math.ceil(c * (1.0 / eps) ** (2.0 / k) * math.log(1.0 / eps))
+    return _ceil_scaled(c * (1.0 / eps) ** (2.0 / k) * math.log(1.0 / eps), c)
 
 
 def bound_star_center(k: int, eps: float, c: float = 1.0) -> int:
@@ -177,7 +201,7 @@ def bound_star_center(k: int, eps: float, c: float = 1.0) -> int:
     _check_eps(eps)
     if k < 2:
         raise TreeError(f"need k >= 2, got {k}")
-    return math.ceil(c * (1.0 / eps) ** (1.0 / k) * math.log(1.0 / eps))
+    return _ceil_scaled(c * (1.0 / eps) ** (1.0 / k) * math.log(1.0 / eps), c)
 
 
 def bound_calculators(name: str, params: dict) -> BoundResult:

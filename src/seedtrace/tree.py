@@ -14,10 +14,10 @@ endings.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import nsmallest
+from itertools import islice
 from typing import IO
 
 import numpy as np
@@ -32,13 +32,19 @@ class Tree:
     """Unrooted tree on vertices ``0 .. n-1`` in CSR form.
 
     ``indptr`` (n + 1 entries) and ``indices`` (2(n - 1) entries) are
-    read-only int64 arrays, each row of ``indices`` sorted.  ``adjacency``
-    is a tuple-of-tuples view, built on first access and kept.
+    read-only int64 arrays, each row of ``indices`` sorted.  ``rooting``
+    (at vertex 0) and the tuple-of-tuples ``adjacency`` view are built on
+    first access and kept.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
+
+    @cached_property
+    def rooting(self) -> Rooting:
+        """The tree rooted at vertex 0, built on first access and kept."""
+        return _rooting(self, 0)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -153,13 +159,111 @@ def bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
     parent = [-1] * t.n
     order = [root]
     parent[root] = root
-    for u in order:  # the queue: order grows while it is read
+    _fifo_walk(ptr, idx, parent, order, 0)
+    parent[root] = -1
+    return order, parent
+
+
+def _fifo_walk(ptr: list[int], idx: list[int], parent: list[int], order: list[int],
+               head: int) -> None:
+    """Visit order[head:] as a FIFO queue: append each neighbour whose parent
+    is still -1, recording the vertex it was reached from."""
+    for u in islice(order, head, None):  # the queue: order grows while it is read
         for v in idx[ptr[u] : ptr[u + 1]]:
             if parent[v] == -1:
                 parent[v] = u
                 order.append(v)
+
+
+@dataclass(frozen=True, eq=False)
+class Rooting:
+    """A tree rooted by breadth-first search: the FIFO ``bfs_order``, the
+    parent (-1 at the root) and the subtree size of every vertex, as
+    read-only int64 arrays.
+
+    ``order[levels[i]:levels[i + 1]]`` is depth i for every level walked in
+    numpy; the rest, ``order[levels[-1]:]``, is empty unless the tree is deep,
+    and was walked in Python in the same FIFO order, without level marks.
+    """
+
+    order: np.ndarray
+    parent: np.ndarray
+    sizes: np.ndarray
+    levels: tuple[int, ...]
+
+
+# One numpy level (gather, scatter, one np.add.at and a phi step) costs about
+# as much as the Python walk over _LEVEL_COST vertices: 12-14 us against
+# 0.36 us a vertex for psi.  Levels go on in numpy while their cost stays
+# within the walk over the vertices they placed plus a quarter of the tree, so
+# a path or a broom costs at most a quarter more than the Python walk alone,
+# and a tree of fewer than 4 * _LEVEL_COST vertices is walked in Python.
+_LEVEL_COST = 40
+
+
+def _rooting(t: Tree, root: int) -> Rooting:
+    """Root t at root, one breadth-first level at a time.
+
+    In a tree the children of a vertex are its neighbours other than its
+    parent, the one it was reached from, so the next level is the frontier's
+    neighbour lists, gathered in frontier order from ``indptr``/``indices``,
+    less the reached vertices.  Rows are sorted, so the levels put together
+    are the FIFO ``bfs_order``.  Past the level budget the Python FIFO walk
+    goes on from the current frontier, with the same result.  Sizes add up
+    level by level in reverse, one ``np.add.at`` each, after a Python pass
+    over the walked rest.
+    """
+    n = t.n
+    if not (0 <= root < n):
+        raise TreeError(f"root {root} outside 0..{n - 1}")
+    indptr, indices = t.indptr, t.indices
+    degree = np.diff(indptr)
+    ramp = np.arange(indices.size)
+    # every level's mask is a slice of one buffer: numpy keeps freed arrays
+    # under 1 KiB for reuse, and masks of many sizes would stay resident
+    unreached = np.empty(indices.size, dtype=bool)
+    order = np.empty(n, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    order[0] = root
+    parent[root] = root  # marks the root as reached
+    levels = [0, 1]
+    lo, hi = 0, 1
+    while hi < n and (len(levels) - 1) * _LEVEL_COST <= hi + n // 4:
+        frontier = order[lo:hi]
+        counts = degree[frontier]
+        ends = counts.cumsum()
+        # slot of each neighbour in indices: its row start plus its rank
+        shift = indptr[frontier]
+        shift -= ends
+        shift += counts
+        slots = shift.repeat(counts)
+        slots += ramp[: ends[-1]]
+        nbrs = indices[slots]
+        kids = nbrs[np.equal(parent[nbrs], -1, out=unreached[: nbrs.size])]
+        if lo:
+            counts -= 1  # every vertex below the root has one reached neighbour
+        lo, hi = hi, hi + kids.size
+        order[lo:hi] = kids
+        parent[kids] = frontier.repeat(counts)
+        levels.append(hi)
+    if hi < n:
+        ptr, idx = t.csr_lists()
+        walked, par = order[:hi].tolist(), parent.tolist()
+        _fifo_walk(ptr, idx, par, walked, lo)
+        sizes_list = [1] * n
+        for u in reversed(walked[hi:]):
+            sizes_list[par[u]] += sizes_list[u]
+        order, parent = np.array(walked, dtype=np.int64), np.array(par, dtype=np.int64)
+        sizes = np.array(sizes_list, dtype=np.int64)
+    else:
+        sizes = np.ones(n, dtype=np.int64)
+    for a, b in reversed(list(zip(levels[1:], levels[2:]))):
+        level = order[a:b]
+        np.add.at(sizes, parent[level], sizes[level])
     parent[root] = -1
-    return order, parent
+    for array in (order, parent, sizes):
+        array.flags.writeable = False
+    return Rooting(order=order, parent=parent, sizes=sizes, levels=tuple(levels))
 
 
 def subtree_sizes(t: Tree, root: int) -> list[int]:
@@ -176,13 +280,10 @@ def rooted_sizes(t: Tree, root: int) -> tuple[list[int], list[int]]:
 
     One rooting answers every direction: across an edge (u, w), the part
     hanging at w away from u holds sizes[w] vertices when parent[w] == u,
-    and n - sizes[u] otherwise.
+    and n - sizes[u] otherwise.  Rooting at 0 reads the tree's cached one.
     """
-    order, parent = bfs_order(t, root)
-    sizes = [1] * t.n
-    for u in reversed(order[1:]):
-        sizes[parent[u]] += sizes[u]
-    return parent, sizes
+    r = t.rooting if root == 0 else _rooting(t, root)
+    return r.parent.tolist(), r.sizes.tolist()
 
 
 def parse_tree(text: str, source: str = "<string>") -> Tree:
@@ -337,89 +438,3 @@ class ConfidenceSet:
             "members": [[int(v), float(s)] for v, s in self.members],
             "target_size": int(self.target_size),
         }
-
-
-def top_k(
-    scores: Sequence[float],
-    k: int,
-    direction: str = "min",
-    eligible: Callable[[int], bool] | None = None,
-) -> ConfidenceSet:
-    """The k best vertices under (score, then vertex id ascending).
-
-    direction 'min' keeps the smallest scores, 'max' the largest.  Fewer than
-    k eligible vertices yields a shorter set (never an error).
-    """
-    if k < 0:
-        raise TreeError(f"set size must be >= 0, got {k}")
-    if direction not in ("min", "max"):
-        raise TreeError(f"direction must be 'min' or 'max', got {direction!r}")
-    if direction == "min":
-        pairs = (
-            (s, v)
-            for v, s in enumerate(scores)
-            if eligible is None or eligible(v)
-        )
-    else:
-        pairs = (
-            (-s, v)
-            for v, s in enumerate(scores)
-            if eligible is None or eligible(v)
-        )
-    best = nsmallest(k, pairs)
-    if direction == "min":
-        members = tuple((v, s) for s, v in best)
-    else:
-        members = tuple((v, -s) for s, v in best)
-    return ConfidenceSet(members=members, target_size=k)
-
-
-def hanging_sizes(t: Tree, anchor_set: Iterable[int]) -> list[int]:
-    """Component sizes hanging off a connected anchor set.
-
-    Returns sizes[v] for every vertex v:
-
-    * for v outside the anchor: v plus all vertices whose path to the anchor
-      passes through v (the subtree hanging at v, facing away);
-    * for an anchor vertex u: u plus every vertex whose path to the rest of
-      the anchor passes through u.
-
-    Anchor sizes partition the tree, so they sum to n.
-    """
-    anchors = sorted(set(int(v) for v in anchor_set))
-    if not anchors:
-        raise TreeError("anchor set must be non-empty")
-    in_anchor = bytearray(t.n)
-    for v in anchors:
-        if not (0 <= v < t.n):
-            raise TreeError(f"anchor vertex {v} outside 0..{t.n - 1}")
-        in_anchor[v] = 1
-    ptr, idx = t.csr_lists()
-    # anchors must induce a connected subtree
-    stack = [anchors[0]]
-    seen = {anchors[0]}
-    while stack:
-        u = stack.pop()
-        for w in idx[ptr[u] : ptr[u + 1]]:
-            if in_anchor[w] and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(anchors):
-        raise TreeError("anchor set is not connected")
-
-    # orient every non-anchor vertex toward its unique attachment point
-    parent = [-2] * t.n
-    order: list[int] = []
-    for a in anchors:
-        parent[a] = -1
-    queue = list(anchors)
-    for u in queue:
-        for w in idx[ptr[u] : ptr[u + 1]]:
-            if parent[w] == -2:
-                parent[w] = u
-                order.append(w)
-                queue.append(w)
-    sizes = [1] * t.n
-    for v in reversed(order):
-        sizes[parent[v]] += sizes[v]
-    return sizes

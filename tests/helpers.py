@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from bisect import bisect_left, insort
+from heapq import nsmallest
 import math
 
 import numpy as np
@@ -10,7 +12,7 @@ import numpy as np
 from seedtrace import build_tree, generate, log_likelihood_all, path_tree, psi_set
 from seedtrace.rng import STREAM_GROW, derive_seed, make_rng
 from seedtrace.skeleton import SkeletonObservation, skeleton_leaf_set
-from seedtrace.tree import SeedPlacement, Tree, bfs_order
+from seedtrace.tree import ConfidenceSet, SeedPlacement, Tree, TreeError, bfs_order
 
 
 def ua_tree(n: int, rng_seed: int, alpha: float = 0.0) -> Tree:
@@ -245,6 +247,30 @@ def reference_rooted_sizes(adjacency, root: int) -> tuple[list[int], list[int]]:
     return parent, sizes
 
 
+def reference_psi_phi(adjacency) -> tuple[list[int], list[float]]:
+    """psi and log phi of every vertex as Python loops over the FIFO walk from
+    vertex 0, as psi_all and phi_log_all computed them before the rooting was
+    shared: the root's phi is a left-to-right sum in that order."""
+    n = len(adjacency)
+    order, parent = reference_bfs_order(adjacency, 0)
+    sizes = [1] * n
+    for u in reversed(order[1:]):
+        sizes[parent[u]] += sizes[u]
+    max_child = [0] * n
+    for v in order[1:]:
+        p = parent[v]
+        if sizes[v] > max_child[p]:
+            max_child[p] = sizes[v]
+    psi = [max(max_child[u], n - sizes[u]) for u in range(n)]
+    phi = [0.0] * n
+    for v in order[1:]:  # left to right, as sum() added floats before Python 3.12
+        phi[0] += math.log(sizes[v])
+    for v in order[1:]:
+        s = sizes[v]
+        phi[v] = phi[parent[v]] + math.log(n - s) - math.log(s)
+    return psi, phi
+
+
 def reference_up_codes(order, parent, children, down, get) -> list[int]:
     """The all-roots up pass with one sorted-list copy and one ``get`` call per
     child: O(deg^2) at a vertex of degree deg."""
@@ -342,3 +368,93 @@ def reference_weighted_parents(seed_tree: Tree, n: int, alpha: float, rng_seed: 
     rng = make_rng(derive_seed(rng_seed, 0, STREAM_GROW))
     degrees = [seed_tree.degree(v) for v in range(k)]
     return reference_weighted_draw(degrees, n, alpha, rng.random(n - k))
+
+
+# top_k and hanging_sizes as the package had them before skeleton_leaf_set
+# read the tree's one rooting: the references its differential test compares to.
+
+
+def top_k(
+    scores: Sequence[float],
+    k: int,
+    direction: str = "min",
+    eligible: Callable[[int], bool] | None = None,
+) -> ConfidenceSet:
+    """The k best vertices under (score, then vertex id ascending).
+
+    direction 'min' keeps the smallest scores, 'max' the largest.  Fewer than
+    k eligible vertices yields a shorter set (never an error).
+    """
+    if k < 0:
+        raise TreeError(f"set size must be >= 0, got {k}")
+    if direction not in ("min", "max"):
+        raise TreeError(f"direction must be 'min' or 'max', got {direction!r}")
+    if direction == "min":
+        pairs = (
+            (s, v)
+            for v, s in enumerate(scores)
+            if eligible is None or eligible(v)
+        )
+    else:
+        pairs = (
+            (-s, v)
+            for v, s in enumerate(scores)
+            if eligible is None or eligible(v)
+        )
+    best = nsmallest(k, pairs)
+    if direction == "min":
+        members = tuple((v, s) for s, v in best)
+    else:
+        members = tuple((v, -s) for s, v in best)
+    return ConfidenceSet(members=members, target_size=k)
+
+
+def hanging_sizes(t: Tree, anchor_set: Iterable[int]) -> list[int]:
+    """Component sizes hanging off a connected anchor set.
+
+    Returns sizes[v] for every vertex v:
+
+    * for v outside the anchor: v plus all vertices whose path to the anchor
+      passes through v (the subtree hanging at v, facing away);
+    * for an anchor vertex u: u plus every vertex whose path to the rest of
+      the anchor passes through u.
+
+    Anchor sizes partition the tree, so they sum to n.
+    """
+    anchors = sorted(set(int(v) for v in anchor_set))
+    if not anchors:
+        raise TreeError("anchor set must be non-empty")
+    in_anchor = bytearray(t.n)
+    for v in anchors:
+        if not (0 <= v < t.n):
+            raise TreeError(f"anchor vertex {v} outside 0..{t.n - 1}")
+        in_anchor[v] = 1
+    ptr, idx = t.csr_lists()
+    # anchors must induce a connected subtree
+    stack = [anchors[0]]
+    seen = {anchors[0]}
+    while stack:
+        u = stack.pop()
+        for w in idx[ptr[u] : ptr[u + 1]]:
+            if in_anchor[w] and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != len(anchors):
+        raise TreeError("anchor set is not connected")
+
+    # orient every non-anchor vertex toward its unique attachment point
+    parent = [-2] * t.n
+    order: list[int] = []
+    for a in anchors:
+        parent[a] = -1
+    queue = list(anchors)
+    for u in queue:
+        for w in idx[ptr[u] : ptr[u + 1]]:
+            if parent[w] == -2:
+                parent[w] = u
+                order.append(w)
+                queue.append(w)
+    sizes = [1] * t.n
+    for v in reversed(order):
+        sizes[parent[v]] += sizes[v]
+    return sizes

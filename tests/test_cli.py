@@ -277,6 +277,8 @@ _GOOD_CONFIG = {
         ("alpha", float("inf")),
         ("alpha", -1),
         ("alpha", 300),
+        ("alpha", True),
+        ("search", {"grid": [4], "target": True}),
     ],
 )
 def test_experiment_malformed_field_is_data_error(tmp_path, capsys, field, value):
@@ -318,6 +320,42 @@ def test_summary_with_a_non_finite_number_is_data_error(tmp_path, capsys):
     cfg_path.write_text(json.dumps({**_GOOD_CONFIG, "params": {"K": 3, "note": float("nan")}}))
     assert main(["experiment", "--config", str(cfg_path)]) == EXIT_DATA
     _assert_one_line_error(capsys, "non-finite")
+
+
+@pytest.mark.parametrize(
+    "params,name",
+    [
+        ({"K": 3, "k_Star": 5}, "'k_Star'"),
+        ({"K": 3, "note": 1}, "'note'"),
+        ({"K": 3, "budget": 10}, "'budget'"),
+    ],
+)
+def test_experiment_unknown_estimator_param_is_data_error(tmp_path, capsys, params, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_GOOD_CONFIG, "params": params}))
+    assert main(["experiment", "--config", str(cfg_path)]) == EXIT_DATA
+    _assert_one_line_error(capsys, name)
+
+
+def test_emit_refuses_a_non_finite_number():
+    from seedtrace.cli import _emit
+
+    with pytest.raises(harness.ConfigError, match="non-finite"):
+        _emit({"value": float("nan")})
+
+
+@pytest.mark.parametrize("name", ["star-center", "heart-upper"])
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf", "1e308"])
+def test_bounds_non_finite_c_is_data_error(capsys, name, c):
+    args = ["bounds", "--name", name, "--k", "4", "--eps", "0.01", f"--c={c}"]
+    assert main(args) == EXIT_DATA
+    _assert_one_line_error(capsys, "parameter c")
+
+
+def test_non_integer_env_master_seed_is_data_error(seed_file, capsys, monkeypatch):
+    monkeypatch.setenv("SEEDTRACE_RNG_SEED", "abc")
+    assert main(["gen", "--seed-file", seed_file, "--n", "5"]) == EXIT_DATA
+    _assert_one_line_error(capsys, "SEEDTRACE_RNG_SEED")
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from seedtrace import (
 from seedtrace.growth import rebuild_from_record
 from seedtrace.harness import ExperimentConfig, _verify_replay, run_trial
 from seedtrace.likelihood import _AllRoots
-from seedtrace.tree import Tree, bfs_order, format_tree, parse_tree, rooted_sizes, top_k
+from seedtrace.tree import Tree, bfs_order, format_tree, parse_tree, rooted_sizes
 
 from helpers import (
     reference_adjacency,
@@ -36,6 +36,7 @@ from helpers import (
     reference_grown_adjacency,
     reference_rooted_sizes,
     reference_up_codes,
+    top_k,
 )
 
 SEEDS = {

@@ -22,9 +22,8 @@ from seedtrace.skeleton import (
     skeleton_leaf_set,
     star_recover,
 )
-from seedtrace.tree import hanging_sizes
 
-from helpers import reference_star_recover, ua_tree
+from helpers import hanging_sizes, reference_star_recover, top_k, ua_tree
 
 
 def test_skeleton_observation_validation():
@@ -66,6 +65,34 @@ def test_skeleton_leaf_set_prefers_old_subtrees():
         if w not in obs.skeleton_ids
     }
     assert cs.vertex_set() <= neighbors
+
+
+def test_skeleton_leaf_set_matches_hanging_sizes_reference():
+    """The edge rule on the tree's one rooting ranks the candidates exactly as
+    the anchored orientation (hanging_sizes) plus top_k did."""
+    rng = random.Random(11)
+    trees = [ua_tree(n, s, alpha) for n in (2, 9, 60, 700) for s in (0, 1)
+             for alpha in (0.0, 1.0)]
+    trees += [path_tree(40), star_tree(30), spider_tree([3, 2, 5]), spider_tree([1] * 12)]
+    for t in trees:
+        for _ in range(8):
+            ids = {rng.randrange(t.n)}
+            for _ in range(rng.randint(0, min(7, t.n - 1))):
+                ids.add(rng.choice(t.neighbors(rng.choice(sorted(ids)))))
+            obs = SkeletonObservation.make(t, ids)
+            candidates = {w for u in ids for w in t.neighbors(u)} - ids
+            for k in (1, 2, 5, t.n):
+                want = top_k(hanging_sizes(t, ids), k, direction="max",
+                             eligible=candidates.__contains__)
+                got = skeleton_leaf_set(obs, k)
+                assert got == want, (t.n, sorted(ids), k)
+                assert all(type(v) is int and type(s) is int for v, s in got.members)
+
+
+def test_skeleton_leaf_set_rejects_a_disconnected_skeleton():
+    obs = SkeletonObservation.make(path_tree(6), [1, 3, 4])
+    with pytest.raises(TreeError, match="anchor set is not connected"):
+        skeleton_leaf_set(obs, 2)
 
 
 def test_skeleton_leaf_set_rejects_bad_k():

@@ -8,7 +8,6 @@ from seedtrace import (
     SeedPlacement,
     TreeError,
     build_tree,
-    hanging_sizes,
     path_tree,
     spider_tree,
     star_tree,
@@ -19,11 +18,10 @@ from seedtrace.tree import (
     parse_tree,
     read_tree,
     subtree_sizes,
-    top_k,
     write_tree,
 )
 
-from helpers import ua_tree
+from helpers import hanging_sizes, top_k, ua_tree
 
 
 def test_build_tree_basic():
