@@ -6,8 +6,10 @@ scores over those component sizes drive the confidence-set estimators:
 * psi(u): the largest component size.  Small psi marks central vertices; the
   minimizer is a centroid and its value is at most n/2.
 * phi(u): the product over all v != u of the size of the subtree hanging at v
-  when T is rooted at u.  Kept in log domain; the minimizer is the
-  maximum-likelihood root of a uniform-attachment tree up to symmetry terms.
+  when T is rooted at u.  Kept in log domain.  The rooted likelihood of a
+  uniform-attachment tree is 1 / (|Aut(T)| * phi(u)), so the minimizers of
+  phi are exactly the maximum-likelihood roots, and they are the minimizers
+  of psi: the centroid, or the two ends of a bicentroid edge.
 
 Both read the tree's one cached rooting at vertex 0 (``Tree.rooting``): its
 breadth-first levels, parents and subtree sizes, built in numpy one level at
@@ -42,6 +44,11 @@ def _psi(t: Tree) -> np.ndarray:
     largest_child = np.zeros(t.n, dtype=np.int64)
     np.maximum.at(largest_child, r.parent[kids], r.sizes[kids])
     return np.maximum(largest_child, t.n - r.sizes)
+
+
+def _centroid(t: Tree) -> int:
+    """The smallest-id minimizer of psi (0 when n == 1)."""
+    return int(np.argmin(_psi(t)))
 
 
 def psi_all(t: Tree) -> list[int]:

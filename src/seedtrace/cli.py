@@ -22,7 +22,9 @@ from .growth import anonymize, generate
 from .harness import ConfigError, ExperimentConfig, distribution_check, minimal_k_search
 from .likelihood import PlacementBudgetError, mle_root, mle_seed
 from .rng import resolve_master_seed
-from .skeleton import SkeletonObservation, bound_calculators, skeleton_leaf_set, star_recover
+from .skeleton import (
+    SkeletonObservation, _check_eps, bound_calculators, skeleton_leaf_set, star_recover,
+)
 from .stats import StatsError
 from .tree import TreeError, format_tree, read_tree, write_tree
 
@@ -76,6 +78,7 @@ def _cmd_find_seed(args) -> int:
     if args.method == "dfs":
         k_star = args.kstar
         if k_star is None:
+            _check_eps(args.eps)  # before halving, so the message names the given value
             # anchor set sized for half the error budget
             k_star = bound_calculators("root-psi", {"eps": args.eps / 2.0}).value
         anchors = psi_set(t, k_star)

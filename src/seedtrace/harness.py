@@ -25,7 +25,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .centrality import dfs_cover_set, psi_set, phi_set
+from .centrality import _centroid, dfs_cover_set, psi_set, phi_set
 from .growth import (
     GrowthRecord,
     _alpha_fits,
@@ -35,7 +35,7 @@ from .growth import (
     rebuild_from_record,
     seed_component_sizes,
 )
-from .likelihood import mle_root, mle_seed
+from .likelihood import mle_seed
 from .oracle import _shape_key, rooted_shape_distribution
 from .rng import ConfigError, derive_seed, make_rng
 from .skeleton import SkeletonObservation, skeleton_leaf_set, star_recover
@@ -81,8 +81,9 @@ ESTIMATORS = {
     "phi": EstimatorSpec(
         lambda p, t, _: phi_set(t, p["K"]).vertices(), {"K": int}, _ROOT_CRITERIA
     ),
+    # mle_root's pick without its score: the likelihood peaks at the centroid
     "mle-root": EstimatorSpec(
-        lambda p, t, _: (mle_root(t)[0],), {},
+        lambda p, t, _: (_centroid(t),), {},
         frozenset({"root-in-set", "intersect"}), k_param=None, k_column=lambda p: 1,
     ),
     "dfs-cover": EstimatorSpec(

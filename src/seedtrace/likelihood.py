@@ -10,7 +10,18 @@ split evenly among positions indistinguishable from u).  In closed form:
 where size_u(v) is the subtree size hanging at v when t is rooted at u,
 a_u(v) is the product of factorials of the multiplicities of isomorphic
 child subtrees of v in that rooting, and R(u) counts vertices w whose rooted
-tree (t, w) is isomorphic to (t, u).
+tree (t, w) is isomorphic to (t, u).  By orbit-stabiliser, R(u) times the
+product of the a_u(v) is |Aut(t)| for every u, and n over the product of the
+sizes is 1 / phi(u), the product of hanging sizes of centrality.py:
+
+    L_t(u) = 1 / ( |Aut(t)| * phi(u) )
+
+Moving the root across an edge multiplies phi by (n - s) / s, with s the
+size of the side moved into, so phi falls toward any side holding more than
+n / 2 vertices: the likelihood is largest exactly at the centroid, the
+minimizers of psi (the rumor-centre argument of Shah and Zaman, 2011).
+mle_root returns the smallest-id centroid c with its rooted log-likelihood,
+and log_likelihood_all shifts that one value by log phi(c) - log phi(u).
 
 A candidate seed placement S factorizes: conditionally on the sizes of the
 subtrees hanging at the seed vertices, each hanging subtree is an independent
@@ -19,15 +30,11 @@ log-likelihood is the sum of the rooted log-likelihoods of its hanging
 subtrees.  (This conditional reading is pinned down against the sequence
 enumeration oracle in oracle.py; see that module for the exact event.)
 
-Everything here is iterative and runs in O(n log n) per tree: subtree shapes
-are interned integer codes computed for both directions of every edge by a
-down pass and an up pass, and the per-root terms follow by rerooting across
-each edge.
-
-The same passes serve every seed placement.  The subtree hanging at seed
-vertex s is s plus the directed subtrees D(s -> y) toward its neighbours y
-outside the seed.  With M the multiset of their codes, its rooted
-log-likelihood is
+One pass serves roots and placements alike.  Subtree shapes are interned
+integer codes, computed for both directions of every edge by a down pass and
+an up pass in O(n log n).  The subtree hanging at seed vertex s is s plus
+the directed subtrees D(s -> y) toward its neighbours y outside the seed.
+With M the multiset of their codes, its rooted log-likelihood is
 
     -log R_s - log a(M) - sum over m in M of W[m]
 
@@ -36,6 +43,8 @@ code m, and R_s is the orbit size of s in the hanging subtree.  W is a
 per-code table, R_s comes from a walk from s to the centre of the hanging
 subtree, and each term is memoized per (s, seed neighbours of s), so scoring
 one more placement of a tree costs O(k) lookups once its terms are known.
+The single-vertex placement {c} is the whole tree rooted at c, so its term
+is the rooted log-likelihood mle_root reports.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ import math
 import threading
 from bisect import bisect_left, insort
 
-from .centrality import phi_log_all
+from .centrality import _centroid, phi_log_all
 from .tree import SeedPlacement, Tree, TreeError
 
 
@@ -53,7 +62,8 @@ class PlacementBudgetError(RuntimeError):
 
 
 class _AllRoots:
-    """Directed subtree codes plus per-root symmetry and size terms.
+    """Directed subtree codes of every edge, and the per-code tables that
+    score seed placements.
 
     The code of the directed subtree D(v -> x) (the part of the tree reached
     from v through x, rooted at x) is down[x] when x is a child of v in the
@@ -62,16 +72,14 @@ class _AllRoots:
     """
 
     __slots__ = (
-        "n", "adj", "order", "parent", "down", "up", "aut_bar",
-        "laut_root", "cnt", "log_phi", "intern", "lfact",
+        "adj", "parent", "down", "up", "intern", "lfact",
         "code_size", "code_height", "code_w", "terms",
     )
 
     def __init__(self, t: Tree):
         n = t.n
-        self.n = n
         r = t.rooting
-        self.order = order = r.order.tolist()
+        order = r.order.tolist()
         self.parent = parent = r.parent.tolist()
         adj = t.adjacency
         self.adj = adj
@@ -96,9 +104,7 @@ class _AllRoots:
             if ch:
                 down[v] = get(tuple(sorted(down[c] for c in ch)))
         self.down = down
-
-        self.up = up = self._up_codes(order, parent, children, down, get)
-
+        self.up = self._up_codes(order, parent, children, down, get)
         self.intern = intern
 
         log = math.log
@@ -108,34 +114,12 @@ class _AllRoots:
             lfact[m] = lfact[m - 1] + log(m)
         self.lfact = lfact
 
-        cnt: list[dict[int, int]] = [dict() for _ in range(n)]
-        laut_root = [0.0] * n
-        full_keys: list[tuple[int, ...]] = [()] * n
-        for v in range(n):
-            c = cnt[v]
-            pv = parent[v]
-            uv = up[v]
-            codes_v = []
-            for x in adj[v]:
-                code = uv if x == pv else down[x]
-                codes_v.append(code)
-                c[code] = c.get(code, 0) + 1
-            laut_root[v] = sum(lfact[m] for m in c.values())
-            codes_v.sort()
-            full_keys[v] = tuple(codes_v)
-        self.laut_root = laut_root
-        self.cnt = cnt
-
-        full_counts: dict[tuple[int, ...], int] = {}
-        for key in full_keys:
-            full_counts[key] = full_counts.get(key, 0) + 1
-        self.aut_bar = [full_counts[full_keys[v]] for v in range(n)]
-
-        self.log_phi = phi_log_all(t)
-        # per-code tables for seed placements, filled by add_code_tables
+        # size, height and W of every code, in code order
         self.code_size: list[int] = []
         self.code_height: list[int] = []
         self.code_w: list[float] = []
+        for key in intern:
+            self._add_code_row(key)
         self.terms: dict[tuple[int, tuple[int, ...]], float] = {}
 
     @staticmethod
@@ -171,27 +155,6 @@ class _AllRoots:
                 up[c] = code
         return up
 
-    def log_likelihoods(self) -> list[float]:
-        n = self.n
-        if n == 1:
-            return [0.0]
-        log = math.log
-        order, parent = self.order, self.parent
-        cnt, up, down = self.cnt, self.up, self.down
-        laut = self.laut_root
-        # symmetry-product term for the base rooting
-        a = [0.0] * n
-        a0 = laut[0]
-        for v in order[1:]:
-            a0 += laut[v] - log(cnt[v][up[v]])
-        a[0] = a0
-        for w in order[1:]:
-            u = parent[w]
-            a[w] = a[u] + log(cnt[w][up[w]]) - log(cnt[u][down[w]])
-        phi = self.log_phi
-        aut_bar = self.aut_bar
-        return [-log(aut_bar[v]) - phi[v] - a[v] for v in range(n)]
-
     def placement(self, vertices: tuple[int, ...]) -> float:
         """Seeded log-likelihood: the hanging terms of the seed vertices,
         added in sorted order so that automorphic placements tie exactly."""
@@ -214,11 +177,6 @@ class _AllRoots:
             term = -math.log(self._orbit(s, ys)) - laut - wsum if ys else 0.0
             self.terms[key] = term
         return term
-
-    def add_code_tables(self) -> None:
-        """Size, height and W of every code so far, which placements need."""
-        for key in self.intern:
-            self._add_code_row(key)
 
     def _edge(self, v: int, x: int) -> int:
         """Code of the directed subtree D(v -> x)."""
@@ -296,10 +254,16 @@ class _AllRoots:
 
 
 def log_likelihood_all(t: Tree) -> list[float]:
-    """Rooted log-likelihood (nats) for every root position at once."""
-    if t.n == 1:
-        return [0.0]
-    return _AllRoots(t).log_likelihoods()
+    """Rooted log-likelihood (nats) for every root position at once.
+
+    log L_t(u) = -log |Aut(t)| - log phi(u), so every root's value is the
+    centroid's rooted log-likelihood plus log phi(c) - log phi(u): one rooted
+    term from the placement pass and one phi pass.
+    """
+    c, ll = mle_root(t)
+    phi = phi_log_all(t)
+    shift = ll + phi[c]
+    return [shift - p for p in phi]
 
 
 def log_likelihood_rooted(t: Tree, u: int) -> float:
@@ -310,27 +274,24 @@ def log_likelihood_rooted(t: Tree, u: int) -> float:
 
 
 def mle_root(t: Tree) -> tuple[int, float]:
-    """The likelihood-maximizing root, ties broken by smallest vertex id."""
-    scores = log_likelihood_all(t)
-    best_v = 0
-    best_s = scores[0]
-    for v in range(1, t.n):
-        s = scores[v]
-        if s > best_s:
-            best_v, best_s = v, s
-    return best_v, best_s
+    """The likelihood-maximizing root and its log-likelihood.
+
+    The maximizers are exactly the centroid (see the module docstring), so
+    this is the smallest-id minimizer of psi, an exact integer comparison,
+    scored as the single-vertex placement at it.
+    """
+    c = _centroid(t)
+    return c, log_likelihood_seed(t, (c,))
 
 
 _LAST = threading.local()
 
 
 def _all_roots(t: Tree) -> _AllRoots:
-    """The all-roots state of t, kept for the last tree seen in this thread."""
+    """The placement state of t, kept for the last tree seen in this thread."""
     slot = getattr(_LAST, "slot", None)
     if slot is None or slot[0] is not t:
-        roots = _AllRoots(t)
-        roots.add_code_tables()
-        slot = _LAST.slot = (t, roots)
+        slot = _LAST.slot = (t, _AllRoots(t))
     return slot[1]
 
 
@@ -340,7 +301,8 @@ def log_likelihood_seed(t: Tree, placement: SeedPlacement | tuple[int, ...]) -> 
     Sum over the placement's vertices of the rooted log-likelihood of the
     subtree hanging at each one.  The passes over t are shared by every call
     with the same tree object, so scoring all placements of a tree costs one
-    all-roots pass plus O(k) per placement once its hanging terms are known.
+    pass of edge codes plus O(k) per placement once its hanging terms are
+    known.
     """
     if not isinstance(placement, SeedPlacement):
         placement = SeedPlacement.from_vertices(t, placement)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from seedtrace import build_tree, generate, log_likelihood_all, path_tree, psi_set
+from seedtrace import build_tree, generate, path_tree, psi_set
 from seedtrace.rng import STREAM_GROW, derive_seed, make_rng
 from seedtrace.skeleton import SkeletonObservation, skeleton_leaf_set
 from seedtrace.tree import ConfidenceSet, SeedPlacement, Tree, TreeError, bfs_order
@@ -120,14 +120,84 @@ def hanging_decomposition(t: Tree, placement: SeedPlacement) -> list[tuple[int, 
     return out
 
 
+def reference_log_likelihood_all(t: Tree) -> list[float]:
+    """Rooted log-likelihood of every root by the all-roots symmetry pass the
+    package used before it read the centroid: per-vertex counts of neighbour
+    codes give log a at every root by rerooting, full neighbour-code keys
+    give R(u), and phi comes from ``reference_psi_phi``."""
+    n = t.n
+    if n == 1:
+        return [0.0]
+    log = math.log
+    adj = t.adjacency
+    order, parent = reference_bfs_order(adj, 0)
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+
+    intern: dict[tuple[int, ...], int] = {(): 0}
+
+    def get(key: tuple[int, ...]) -> int:
+        code = intern.get(key)
+        if code is None:
+            code = len(intern)
+            intern[key] = code
+        return code
+
+    down = [0] * n
+    for v in reversed(order):
+        ch = children[v]
+        if ch:
+            down[v] = get(tuple(sorted(down[c] for c in ch)))
+    up = reference_up_codes(order, parent, children, down, get)
+
+    max_deg = max(len(a) for a in adj)
+    lfact = [0.0] * (max_deg + 1)
+    for m in range(2, max_deg + 1):
+        lfact[m] = lfact[m - 1] + log(m)
+
+    cnt: list[dict[int, int]] = [dict() for _ in range(n)]
+    laut_root = [0.0] * n
+    full_keys: list[tuple[int, ...]] = [()] * n
+    for v in range(n):
+        c = cnt[v]
+        pv = parent[v]
+        uv = up[v]
+        codes_v = []
+        for x in adj[v]:
+            code = uv if x == pv else down[x]
+            codes_v.append(code)
+            c[code] = c.get(code, 0) + 1
+        laut_root[v] = sum(lfact[m] for m in c.values())
+        codes_v.sort()
+        full_keys[v] = tuple(codes_v)
+
+    full_counts: dict[tuple[int, ...], int] = {}
+    for key in full_keys:
+        full_counts[key] = full_counts.get(key, 0) + 1
+    aut_bar = [full_counts[full_keys[v]] for v in range(n)]
+
+    # symmetry-product term for the base rooting
+    a = [0.0] * n
+    a0 = laut_root[0]
+    for v in order[1:]:
+        a0 += laut_root[v] - log(cnt[v][up[v]])
+    a[0] = a0
+    for w in order[1:]:
+        u = parent[w]
+        a[w] = a[u] + log(cnt[w][up[w]]) - log(cnt[u][down[w]])
+    phi = reference_psi_phi(adj)[1]
+    return [-log(aut_bar[v]) - phi[v] - a[v] for v in range(n)]
+
+
 def reference_log_likelihood_seed(t: Tree, vertices) -> float:
     """Seeded log-likelihood the slow way: cut out every hanging subtree and
-    run the all-roots likelihood on it, once per placement."""
+    run the all-roots reference on it, once per placement."""
     placement = SeedPlacement.from_vertices(t, vertices)
     total = 0.0
     for _, sub in hanging_decomposition(t, placement):
         if sub.n > 1:
-            total += log_likelihood_all(sub)[0]
+            total += reference_log_likelihood_all(sub)[0]
     return total
 
 

@@ -120,6 +120,19 @@ def test_find_seed_methods(tmp_path, capsys):
     assert len(out["placement"]) == 2
 
 
+@pytest.mark.parametrize("kstar", [None, "3"])
+@pytest.mark.parametrize("eps", ["2", "0", "-0.5"])
+def test_find_seed_dfs_names_the_eps_it_was_given(tmp_path, capsys, eps, kstar):
+    grown = _gen_tree(tmp_path, path_tree(4), 40)
+    args = ["find-seed", "--tree", grown, "--method", "dfs", "--k", "4", "--eps", eps]
+    if kstar is not None:
+        args += ["--kstar", kstar]
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("seedtrace: error: ") and err.count("\n") == 1
+    assert f"eps must lie in (0, 1), got {float(eps)}" in err
+
+
 def test_find_seed_budget_exhaustion(tmp_path, capsys):
     grown = _gen_tree(tmp_path, path_tree(2), 60)
     rc = main(

@@ -34,6 +34,7 @@ from helpers import (
     reference_bfs_order,
     reference_edges,
     reference_grown_adjacency,
+    reference_log_likelihood_all,
     reference_rooted_sizes,
     reference_up_codes,
     top_k,
@@ -146,7 +147,7 @@ def test_corrupted_anonymization_trips_the_replay_check():
 
 
 class _PerChildUp(_AllRoots):
-    """The all-roots pass with the unshared, per-child up pass."""
+    """The code pass with the unshared, per-child up pass."""
 
     _up_codes = staticmethod(reference_up_codes)
 
@@ -176,7 +177,11 @@ def test_shared_up_pass_matches_per_child_pass():
         shared, per_child = _AllRoots(t), _PerChildUp(t)
         assert shared.up == per_child.up
         assert shared.intern == per_child.intern
-        assert shared.log_likelihoods() == per_child.log_likelihoods()
+        # the whole tree hanging at v is the tree rooted at v
+        terms = [shared.hanging_term(v, ()) for v in range(t.n)]
+        assert terms == [per_child.hanging_term(v, ()) for v in range(t.n)]
+        for got, want in zip(terms, reference_log_likelihood_all(t)):
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_star_likelihood_is_not_quadratic_in_the_degree():

@@ -135,6 +135,20 @@ def test_run_estimator_dispatch_errors():
         run_estimator("skeleton-leaves", {"K": 2}, path_tree(4), skeleton_ids=None)
 
 
+def test_mle_root_trials_pick_the_centroid_without_the_placement_pass(monkeypatch):
+    from seedtrace import build_tree, generate, likelihood, mle_root, star_tree
+
+    trees = [build_tree(1, []), path_tree(2), path_tree(6), star_tree(7)]
+    trees += [generate(build_tree(1, []), n, rng_seed=s)[0] for n, s in ((6, 484), (300, 2))]
+    picks = [(mle_root(t)[0],) for t in trees]
+
+    def refuse(self, t):
+        raise AssertionError("placement pass built")
+
+    monkeypatch.setattr(likelihood._AllRoots, "__init__", refuse)
+    assert [run_estimator("mle-root", {}, t) for t in trees] == picks
+
+
 def test_results_csv_schema_and_determinism():
     cfg = _cfg(trials=6)
     res = run_experiment(cfg)

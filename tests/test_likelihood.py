@@ -6,6 +6,7 @@ either implementation cannot silently shift both sides.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from seedtrace import (
     SeedPlacement,
     TreeError,
     build_tree,
+    generate,
     log_likelihood_all,
     log_likelihood_rooted,
     log_likelihood_seed,
@@ -37,6 +39,7 @@ from seedtrace.oracle import (
 
 from helpers import (
     rational_rooted_likelihood,
+    reference_log_likelihood_all,
     reference_log_likelihood_seed,
     rooted_code_key,
     ua_tree,
@@ -123,6 +126,58 @@ def test_mle_root_choices():
     v, ll = mle_root(path_tree(5))
     assert v == 2
     assert _close(math.exp(ll), 1 / 8)
+
+
+def _exact_best_roots(t):
+    """The exact rooted likelihood's maximum and every vertex attaining it,
+    by the rational mirror."""
+    values = [rational_rooted_likelihood(t, u) for u in range(t.n)]
+    best = max(values)
+    return best, [u for u, value in enumerate(values) if value == best]
+
+
+# grown trees whose two bicentroids tie exactly; (n, rng_seed) from a single vertex
+BICENTROID_TIES = [(6, 484), (8, 246), (8, 426), (22, 560), (44, 162)]
+
+
+def test_mle_root_breaks_bicentroid_ties_to_the_smaller_id():
+    for n, rng_seed in BICENTROID_TIES:
+        t = generate(build_tree(1, []), n, alpha=0.0, rng_seed=rng_seed)[0]
+        best, tied = _exact_best_roots(t)
+        assert len(tied) == 2, (n, rng_seed)
+        v, ll = mle_root(t)
+        assert v == min(tied), (n, rng_seed)
+        assert _close(math.exp(ll), float(best)), (n, rng_seed)
+
+
+def test_mle_root_is_the_smallest_id_exact_maximizer_on_every_shape():
+    """Every shape with n <= 10 under fixed relabelings; the exact values are
+    computed once per shape and carried through each relabeling."""
+    rng = random.Random(13)
+    for n in range(1, 11):
+        perms = [list(range(n)), list(range(n - 1, -1, -1))]
+        perms += [rng.sample(range(n), n) for _ in range(2)]
+        for t in enumerate_shapes(n):
+            best, tied = _exact_best_roots(t)
+            for perm in perms:
+                relabeled = build_tree(n, [(perm[u], perm[v]) for u, v in t.edges()])
+                v, ll = mle_root(relabeled)
+                assert v == min(perm[u] for u in tied), (n, t.edges(), perm)
+                assert _close(math.exp(ll), float(best)), (n, t.edges(), perm)
+
+
+def test_rooted_matches_the_all_roots_reference():
+    """Every root against the symmetry pass kept in helpers.py, on grown
+    trees and on paths, stars and spiders (exact ties across bicentroids)."""
+    trees = [ua_tree(n, rng_seed=s) for n in (2, 3, 9, 40, 150) for s in range(6)]
+    trees += [ua_tree(300, rng_seed=s, alpha=1.0) for s in range(3)]
+    trees += [path_tree(n) for n in (1, 2, 7, 40)] + [star_tree(n) for n in (3, 60)]
+    trees += [spider_tree([3, 3, 3]), spider_tree([5, 5]), spider_tree([4, 2, 2, 1])]
+    for t in trees:
+        got, want = log_likelihood_all(t), reference_log_likelihood_all(t)
+        assert len(got) == len(want) == t.n
+        for u in range(t.n):
+            assert abs(got[u] - want[u]) <= 1e-10 * max(1.0, abs(want[u])), (t.n, u)
 
 
 def test_seed_frozen_values():
